@@ -24,6 +24,12 @@ pub enum Error {
         /// Pattern length `ℓ` of the fitted model.
         pattern_length: usize,
     },
+    /// The series holds a `NaN` or `±inf`, which has no place in the
+    /// embedding.
+    NonFiniteValue {
+        /// 0-based index of the first non-finite value.
+        index: usize,
+    },
     /// The embedding space degenerated (e.g. constant series with no shape
     /// information), so no nodes could be extracted.
     DegenerateEmbedding(&'static str),
@@ -47,6 +53,9 @@ impl fmt::Display for Error {
                 f,
                 "query length {query_length} must be at least the pattern length {pattern_length}"
             ),
+            Error::NonFiniteValue { index } => {
+                write!(f, "series holds a non-finite value at index {index}")
+            }
             Error::DegenerateEmbedding(msg) => write!(f, "degenerate embedding: {msg}"),
             Error::Linalg(e) => write!(f, "linear algebra error: {e}"),
             Error::TimeSeries(e) => write!(f, "time series error: {e}"),

@@ -44,6 +44,15 @@ pub struct Series2Graph {
     lineage: Option<AdaptationLineage>,
 }
 
+/// Rejects a series holding `NaN` or `±inf`: one such point would poison
+/// the PCA of a fit and silently project to a meaningless path in a score.
+fn check_finite(series: &TimeSeries) -> Result<()> {
+    match series.values().iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(Error::NonFiniteValue { index }),
+        None => Ok(()),
+    }
+}
+
 impl Series2Graph {
     /// Fits a Series2Graph model on a series: embedding → node extraction →
     /// edge extraction (steps 1–3 of the paper).
@@ -53,6 +62,7 @@ impl Series2Graph {
     /// individual steps.
     pub fn fit(series: &TimeSeries, config: &S2gConfig) -> Result<Self> {
         config.validate()?;
+        check_finite(series)?;
         let embedding = Embedding::fit(series, config)?;
         let nodes = NodeSet::extract(&embedding.points, config)?;
         let extraction = EdgeExtraction::extract(&embedding.points, &nodes)?;
@@ -198,6 +208,7 @@ impl Series2Graph {
     /// with unseen transitions contributing zero normality.
     pub fn normality_scores(&self, series: &TimeSeries, query_length: usize) -> Result<Vec<f64>> {
         self.check_query_length(query_length)?;
+        check_finite(series)?;
         let contributions = if series.len() == self.train_len {
             // Same length as the training series: assume it is the training
             // series (exact re-projection would yield identical results).
@@ -346,6 +357,25 @@ mod tests {
                     top[0]
                 );
             }
+        }
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected_by_fit_and_score() {
+        let clean = series_with_anomalies(4000, &[], 0);
+        let model = Series2Graph::fit(&clean, &S2gConfig::new(50)).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut values = clean.values().to_vec();
+            values[1234] = bad;
+            let poisoned = TimeSeries::from(values);
+            assert!(matches!(
+                Series2Graph::fit(&poisoned, &S2gConfig::new(50)),
+                Err(Error::NonFiniteValue { index: 1234 })
+            ));
+            assert!(matches!(
+                model.anomaly_scores(&poisoned.prefix(3000), 150),
+                Err(Error::NonFiniteValue { index: 1234 })
+            ));
         }
     }
 

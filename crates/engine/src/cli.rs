@@ -347,7 +347,7 @@ fn cmd_score(args: &[String]) -> Result<(), CliError> {
             })
             .collect();
         let mut out = Vec::with_capacity(n_series);
-        for result in pool.score_batch(jobs) {
+        for result in pool.score_batch(jobs, None) {
             out.push(result?);
         }
         out
@@ -666,7 +666,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
             ctx
         });
         let t1 = Instant::now();
-        let result = pool.score_batch_traced(jobs, ctx);
+        let result = pool.score_batch(jobs, ctx.as_ref());
         batch_ms.push(t1.elapsed().as_secs_f64() * 1e3);
         // Determinism gate: every task that ran must match the sequential
         // reference bit-for-bit; deadline-expired slots are skipped work

@@ -138,9 +138,9 @@ impl Engine {
 
     /// Attaches the observability registry (see [`s2g_obs::Obs`]): fit
     /// durations, pool queue-wait/execute splits and adaptation push
-    /// latency start recording, and traced request variants
-    /// ([`Engine::score_many_traced`] and friends) attach engine- and
-    /// pool-level spans. Call before serving, alongside
+    /// latency start recording. Request spans passed to
+    /// [`Engine::score_many`] and friends attach engine- and pool-level
+    /// children either way. Call before serving, alongside
     /// [`Engine::attach_storage`].
     pub fn attach_obs(&mut self, obs: Arc<Obs>) {
         self.pool.attach_obs(Arc::clone(&obs));
@@ -238,41 +238,20 @@ impl Engine {
     }
 
     /// Fits one model inline (on the calling thread), persists it when a
-    /// store is mounted, and registers it.
+    /// store is mounted, and registers it. Returns the model with the
+    /// [`ModelInfo`] of exactly this registration — ordinal and checksum
+    /// included, with no re-lookup that a concurrent re-fit of the same
+    /// name could race.
+    ///
+    /// Under a trace (`span` is `Some`) an `engine.fit` span covers the
+    /// inline fit and a `store.save` span the save-on-fit write. The
+    /// fit-duration histogram records either way once an [`Obs`] is
+    /// attached. Results are identical with or without a span.
     ///
     /// # Errors
     /// [`Error::InvalidName`] before any work happens; fit or persistence
     /// errors otherwise (nothing is registered on failure).
     pub fn fit_model(
-        &self,
-        name: impl Into<String>,
-        series: &TimeSeries,
-        config: &S2gConfig,
-    ) -> Result<Arc<Series2Graph>> {
-        Ok(self.fit_model_with_info(name, series, config)?.0)
-    }
-
-    /// Like [`Engine::fit_model`], additionally returning the
-    /// [`ModelInfo`] of exactly this registration — ordinal and checksum
-    /// included, with no re-lookup that a concurrent re-fit of the same
-    /// name could race.
-    ///
-    /// # Errors
-    /// See [`Engine::fit_model`].
-    pub fn fit_model_with_info(
-        &self,
-        name: impl Into<String>,
-        series: &TimeSeries,
-        config: &S2gConfig,
-    ) -> Result<(Arc<Series2Graph>, ModelInfo)> {
-        self.fit_model_traced(name, series, config, None)
-    }
-
-    /// [`Engine::fit_model_with_info`] under a trace: an `engine.fit`
-    /// span covers the inline fit and a `store.save` span the
-    /// save-on-fit write. The fit-duration histogram records either way
-    /// once an [`Obs`] is attached. Results are identical.
-    pub fn fit_model_traced(
         &self,
         name: impl Into<String>,
         series: &TimeSeries,
@@ -348,7 +327,7 @@ impl Engine {
         }
         for ((result, name), slot) in self
             .pool
-            .fit_batch(fit_jobs)
+            .fit_batch(fit_jobs, None)
             .into_iter()
             .zip(names)
             .zip(slots)
@@ -365,24 +344,14 @@ impl Engine {
 
     /// The model registered under `name`, loading it through from the
     /// mounted store on a registry miss (and registering the loaded model,
-    /// so later lookups are pure cache hits).
+    /// so later lookups are pure cache hits). Under a trace a load-through
+    /// is covered by a `store.load` span — the store-layer leg of a
+    /// request's span tree. Results are identical with or without a span.
     ///
     /// # Errors
     /// [`crate::Error::UnknownModel`] when neither the registry nor the
     /// store has the model; store I/O or decode errors otherwise.
-    pub fn model_handle(&self, name: &str) -> Result<Arc<Series2Graph>> {
-        self.model_handle_traced(name, None)
-    }
-
-    /// [`Engine::model_handle`] under a trace: a registry miss that falls
-    /// through to the store is covered by a `store.load` span — the
-    /// store-layer leg of a traced request's span tree. Results are
-    /// identical.
-    pub fn model_handle_traced(
-        &self,
-        name: &str,
-        span: Option<&SpanCtx>,
-    ) -> Result<Arc<Series2Graph>> {
+    pub fn model_handle(&self, name: &str, span: Option<&SpanCtx>) -> Result<Arc<Series2Graph>> {
         if let Some(model) = self.registry.get(name) {
             return Ok(model);
         }
@@ -421,6 +390,10 @@ impl Engine {
     /// Scores many series against one registered model in parallel across the
     /// pool, returning per-series anomaly-score profiles in input order —
     /// identical to a sequential loop over [`Series2Graph::anomaly_scores`].
+    /// Under a trace a load-through registry miss gets a `store.load` span
+    /// and every pool task a `pool.score` span, all children of `span` —
+    /// the server→pool→store tree a traced request shows. Results are
+    /// identical with or without a span.
     ///
     /// # Errors
     /// [`crate::Error::UnknownModel`] when `model_name` is not registered;
@@ -430,22 +403,9 @@ impl Engine {
         model_name: &str,
         series: Vec<TimeSeries>,
         query_length: usize,
-    ) -> Result<Vec<Result<Vec<f64>>>> {
-        self.score_many_traced(model_name, series, query_length, None)
-    }
-
-    /// [`Engine::score_many`] under a trace: a load-through registry miss
-    /// gets a `store.load` span and every pool task a `pool.score` span,
-    /// all children of `span` — the server→pool→store tree a traced
-    /// request shows. Results are identical.
-    pub fn score_many_traced(
-        &self,
-        model_name: &str,
-        series: Vec<TimeSeries>,
-        query_length: usize,
         span: Option<&SpanCtx>,
     ) -> Result<Vec<Result<Vec<f64>>>> {
-        let model = self.model_handle_traced(model_name, span)?;
+        let model = self.model_handle(model_name, span)?;
         let jobs = series
             .into_iter()
             .map(|series| ScoreJob {
@@ -454,12 +414,17 @@ impl Engine {
                 query_length,
             })
             .collect();
-        Ok(self.pool.score_batch_traced(jobs, span.cloned()))
+        Ok(self.pool.score_batch(jobs, span))
     }
 
-    /// Scores heterogeneous `(model, series, query_length)` jobs in parallel.
-    pub fn score_batch(&self, jobs: Vec<ScoreJob>) -> Vec<Result<Vec<f64>>> {
-        self.pool.score_batch(jobs)
+    /// Scores heterogeneous `(model, series, query_length)` jobs in
+    /// parallel; `span` works as in [`Engine::score_many`].
+    pub fn score_batch(
+        &self,
+        jobs: Vec<ScoreJob>,
+        span: Option<&SpanCtx>,
+    ) -> Vec<Result<Vec<f64>>> {
+        self.pool.score_batch(jobs, span)
     }
 
     /// Metadata for every registered model, ordered by insertion ordinal
@@ -477,8 +442,8 @@ impl Engine {
     ///         .map(|i| (std::f64::consts::TAU * i as f64 / 80.0).sin())
     ///         .collect::<Vec<f64>>(),
     /// );
-    /// engine.fit_model("pump-a", &series, &S2gConfig::new(40)).unwrap();
-    /// engine.fit_model("pump-b", &series, &S2gConfig::new(40)).unwrap();
+    /// engine.fit_model("pump-a", &series, &S2gConfig::new(40), None).unwrap();
+    /// engine.fit_model("pump-b", &series, &S2gConfig::new(40), None).unwrap();
     /// let infos = engine.list_models();
     /// assert_eq!(infos.len(), 2);
     /// assert_eq!(infos[0].name, "pump-a");
@@ -563,7 +528,7 @@ impl Engine {
         model_name: &str,
         query_length: usize,
     ) -> Result<()> {
-        let model = self.model_handle(model_name)?;
+        let model = self.model_handle(model_name, None)?;
         self.pool.open_stream(stream_id, model, query_length)
     }
 
@@ -591,7 +556,7 @@ impl Engine {
         let (model, parent_checksum) = match self.registry.get_with_checksum(model_name) {
             Some(pair) => pair,
             None => {
-                let model = self.model_handle(model_name)?;
+                let model = self.model_handle(model_name, None)?;
                 match self.registry.get_with_checksum(model_name) {
                     Some(pair) => pair,
                     None => {
@@ -612,48 +577,30 @@ impl Engine {
     }
 
     /// Feeds points into an open stream, returning the emitted
-    /// `(window_start, normality)` pairs. Due snapshots of adaptive
-    /// sessions are published as a side effect (see
-    /// [`Engine::push_stream_detailed`] for the full status).
-    pub fn push_stream(&self, stream_id: &str, values: &[f64]) -> Result<Vec<(usize, f64)>> {
-        Ok(self.push_stream_detailed(stream_id, values)?.0)
-    }
-
-    /// Feeds points into an open stream, returning the emitted windows
-    /// plus — for adaptive sessions — the adaptation status. When the
-    /// session produced a snapshot, it is registered under the session's
-    /// model name (and persisted when a store is mounted) *before* this
-    /// returns, so a restart right after the push serves the adapted
-    /// model.
+    /// `(window_start, normality)` pairs plus — for adaptive sessions —
+    /// the adaptation status. When the session produced a snapshot, it is
+    /// registered under the session's model name (and persisted when a
+    /// store is mounted) *before* this returns, so a restart right after
+    /// the push serves the adapted model.
+    ///
+    /// Under a trace the pinned worker opens a `pool.push` span, and a due
+    /// snapshot's publication an `engine.publish` span (with `store.save`
+    /// below it when a store is mounted). Results are identical with or
+    /// without a span.
     #[allow(clippy::type_complexity)]
-    pub fn push_stream_detailed(
-        &self,
-        stream_id: &str,
-        values: &[f64],
-    ) -> Result<(Vec<(usize, f64)>, Option<AdaptStatus>)> {
-        self.push_stream_detailed_traced(stream_id, values, None)
-    }
-
-    /// [`Engine::push_stream_detailed`] under a trace: the pinned worker
-    /// opens a `pool.push` span, and a due snapshot's publication an
-    /// `engine.publish` span (with `store.save` below it when a store is
-    /// mounted). Results are identical.
-    #[allow(clippy::type_complexity)]
-    pub fn push_stream_detailed_traced(
+    pub fn push_stream(
         &self,
         stream_id: &str,
         values: &[f64],
         span: Option<&SpanCtx>,
     ) -> Result<(Vec<(usize, f64)>, Option<AdaptStatus>)> {
-        let push = self
-            .pool
-            .push_stream_traced(stream_id, values, span.cloned())?;
+        let push = self.pool.push_stream(stream_id, values, span)?;
         let status = match push.adapt {
             None => None,
             Some(report) => {
                 let published_checksum = match report.snapshot {
                     Some(snapshot) => {
-                        self.publish_adapted_traced(&report.model_name, Arc::new(snapshot), span)?
+                        self.publish_adapted(&report.model_name, Arc::new(snapshot), span)?
                     }
                     None => None,
                 };
@@ -678,15 +625,9 @@ impl Engine {
     /// from both the registry and the store (the session keeps scoring
     /// against its pinned handle regardless). Open sessions keep their
     /// pinned `Arc` handles; everything that resolves `name` from now on
-    /// gets the snapshot.
-    pub fn publish_adapted(&self, name: &str, snapshot: Arc<Series2Graph>) -> Result<Option<u64>> {
-        self.publish_adapted_traced(name, snapshot, None)
-    }
-
-    /// [`Engine::publish_adapted`] under a trace: the registration (and
-    /// its save-on-fit `store.save`) nests below an `engine.publish`
-    /// span. Results are identical.
-    pub fn publish_adapted_traced(
+    /// gets the snapshot. Under a trace the registration (and its
+    /// save-on-fit `store.save`) nests below an `engine.publish` span.
+    pub fn publish_adapted(
         &self,
         name: &str,
         snapshot: Arc<Series2Graph>,
@@ -815,7 +756,7 @@ mod tests {
     fn score_many_requires_known_model() {
         let engine = Engine::default();
         assert!(engine
-            .score_many("nope", vec![sine(500, 50.0, 0.0)], 100)
+            .score_many("nope", vec![sine(500, 50.0, 0.0)], 100, None)
             .is_err());
     }
 
@@ -823,7 +764,7 @@ mod tests {
     fn model_metadata_and_removal() {
         let engine = Engine::default();
         engine
-            .fit_model("m", &sine(2000, 80.0, 0.0), &S2gConfig::new(40))
+            .fit_model("m", &sine(2000, 80.0, 0.0), &S2gConfig::new(40), None)
             .unwrap();
         let info = engine.model_info("m").unwrap();
         assert_eq!(info.pattern_length, 40);
@@ -845,24 +786,24 @@ mod tests {
     fn close_streams_evicts_open_sessions_only() {
         let engine = Engine::new(EngineConfig::default().with_workers(2));
         engine
-            .fit_model("base", &sine(3000, 80.0, 0.0), &S2gConfig::new(40))
+            .fit_model("base", &sine(3000, 80.0, 0.0), &S2gConfig::new(40), None)
             .unwrap();
         engine.open_stream("a", "base", 160).unwrap();
         engine.open_stream("b", "base", 160).unwrap();
         let closed = engine.close_streams(&["a", "missing", "b"]);
         assert_eq!(closed, 2);
-        assert!(engine.push_stream("a", &[0.0]).is_err());
+        assert!(engine.push_stream("a", &[0.0], None).is_err());
     }
 
     #[test]
     fn streams_round_trip_through_engine() {
         let engine = Engine::new(EngineConfig::default().with_workers(2));
         engine
-            .fit_model("base", &sine(3000, 80.0, 0.0), &S2gConfig::new(40))
+            .fit_model("base", &sine(3000, 80.0, 0.0), &S2gConfig::new(40), None)
             .unwrap();
         engine.open_stream("sensor-1", "base", 160).unwrap();
-        let emitted = engine
-            .push_stream("sensor-1", sine(400, 80.0, 0.1).values())
+        let (emitted, _) = engine
+            .push_stream("sensor-1", sine(400, 80.0, 0.1).values(), None)
             .unwrap();
         assert_eq!(emitted.len(), 400 - 160 + 1);
         assert_eq!(engine.close_stream("sensor-1").unwrap(), 400);

@@ -38,7 +38,7 @@
 //!     .map(|i| (std::f64::consts::TAU * i as f64 / 100.0).sin())
 //!     .collect();
 //! engine
-//!     .fit_model("turbine", &TimeSeries::from(train), &S2gConfig::new(50))
+//!     .fit_model("turbine", &TimeSeries::from(train), &S2gConfig::new(50), None)
 //!     .unwrap();
 //!
 //! // Score a fleet of series against it, in parallel, deterministically.
@@ -51,7 +51,7 @@
 //!         )
 //!     })
 //!     .collect();
-//! let profiles = engine.score_many("turbine", fleet, 150).unwrap();
+//! let profiles = engine.score_many("turbine", fleet, 150, None).unwrap();
 //! assert_eq!(profiles.len(), 4);
 //! assert!(profiles.iter().all(|p| p.as_ref().unwrap().len() == 1000 - 150 + 1));
 //! ```

@@ -110,203 +110,98 @@ impl WorkerSession {
     }
 }
 
-/// One unit of batch work, carrying its submission index and a clone of the
-/// batch's reply sender. Tasks are self-contained, so any worker can run
-/// any task — the precondition for stealing.
-enum BatchTask {
-    Fit {
-        idx: usize,
-        job: FitJob,
-        reply: Sender<(usize, Result<Series2Graph>)>,
-    },
-    Score {
-        idx: usize,
-        job: ScoreJob,
-        reply: Sender<(usize, Result<Vec<f64>>)>,
-    },
+/// What a batch task computes.
+enum Work {
+    Fit(FitJob),
+    Score(ScoreJob),
 }
 
-impl BatchTask {
+/// What a batch task produced; [`WorkerPool::fit_batch`] and
+/// [`WorkerPool::score_batch`] unwrap it into their typed results.
+enum Output {
+    // Boxed: a fitted model dwarfs a score profile, and the box costs one
+    // allocation per *fit* — noise next to the fit itself.
+    Fit(Box<Series2Graph>),
+    Score(Vec<f64>),
+}
+
+impl Work {
     /// Span / stage-histogram name of this task kind.
     fn kind(&self) -> &'static str {
         match self {
-            BatchTask::Fit { .. } => "pool.fit",
-            BatchTask::Score { .. } => "pool.score",
+            Work::Fit(_) => "pool.fit",
+            Work::Score(_) => "pool.score",
         }
     }
 
-    /// Submission index, for span attributes.
-    fn idx(&self) -> usize {
-        match self {
-            BatchTask::Fit { idx, .. } | BatchTask::Score { idx, .. } => *idx,
-        }
-    }
-
-    /// Clones this task's reply channel and submission index, so a
-    /// catch_unwind wrapper can still answer the submitter after the
-    /// compute panicked (the original sender unwinds away with the task).
-    fn responder(&self) -> BatchResponder {
-        match self {
-            BatchTask::Fit { idx, reply, .. } => BatchResponder::Fit {
-                idx: *idx,
-                reply: reply.clone(),
-            },
-            BatchTask::Score { idx, reply, .. } => BatchResponder::Score {
-                idx: *idx,
-                reply: reply.clone(),
-            },
-        }
-    }
-
-    /// Answers the submitter with `error` without computing anything —
-    /// the expired-deadline path.
-    fn reject(self, error: Error) {
-        match self {
-            BatchTask::Fit { idx, reply, .. } => {
-                let _ = reply.send((idx, Err(error)));
-            }
-            BatchTask::Score { idx, reply, .. } => {
-                let _ = reply.send((idx, Err(error)));
-            }
-        }
-    }
-
-    /// Executes the task's computation, returning the reply *unsent*.
-    /// Pure: the result depends only on the task's inputs, never on the
-    /// executing worker. The `pool.task.panic` failpoint fires here, so
-    /// injected panics unwind exactly like a real compute panic.
-    fn compute(self) -> BatchReply {
+    /// Runs the computation. Pure: the result depends only on the job,
+    /// never on the executing worker. The `pool.task.panic` failpoint
+    /// fires here, so injected panics unwind exactly like a real compute
+    /// panic.
+    fn compute(self) -> Result<Output> {
         if let Some(err) = s2g_failpoints::hit("pool.task.panic") {
             // Armed as `error` instead of `panic`: fail the task cleanly.
-            return match self {
-                BatchTask::Fit { idx, reply, .. } => BatchReply::Fit {
-                    idx,
-                    result: Box::new(Err(Error::Io(err))),
-                    reply,
-                },
-                BatchTask::Score { idx, reply, .. } => BatchReply::Score {
-                    idx,
-                    result: Err(Error::Io(err)),
-                    reply,
-                },
-            };
+            return Err(Error::Io(err));
         }
         match self {
-            BatchTask::Fit { idx, job, reply } => {
-                let result = Series2Graph::fit(&job.series, &job.config).map_err(Error::from);
-                BatchReply::Fit {
-                    idx,
-                    result: Box::new(result),
-                    reply,
-                }
-            }
-            BatchTask::Score { idx, job, reply } => {
-                let result = job
-                    .model
-                    .anomaly_scores(&job.series, job.query_length)
-                    .map_err(Error::from);
-                BatchReply::Score { idx, result, reply }
-            }
+            Work::Fit(job) => Series2Graph::fit(&job.series, &job.config)
+                .map(|model| Output::Fit(Box::new(model))),
+            Work::Score(job) => job
+                .model
+                .anomaly_scores(&job.series, job.query_length)
+                .map(Output::Score),
         }
+        .map_err(Error::from)
     }
+}
 
+/// One unit of batch work, carrying its submission index and a clone of the
+/// batch's reply sender. Tasks are self-contained, so any worker can run
+/// any task — the precondition for stealing.
+struct BatchTask {
+    idx: usize,
+    work: Work,
+    reply: Sender<(usize, Result<Output>)>,
+}
+
+impl BatchTask {
     /// Executes the task and sends its `(submission index, result)` reply.
-    fn run(self) {
-        self.compute().send();
-    }
-
-    /// [`BatchTask::run`] wrapped in instrumentation: queue-wait and
-    /// execute histograms, the per-kind stage histogram, and — when the
-    /// batch is traced — a span naming the worker that ran it. The result
-    /// bits are untouched: instrumentation only ever *times* the compute.
-    fn run_observed(self, worker: usize, enqueued: Instant, trace: Option<&SpanCtx>, obs: &Obs) {
-        let wait = enqueued.elapsed();
-        obs.pool_queue_wait.record_duration(wait);
-        let kind = self.kind();
-        let mut span = trace.map(|ctx| {
+    /// With an [`Obs`] attached it records queue-wait and execute
+    /// histograms plus the per-kind stage histogram; when the batch is
+    /// traced it opens a span naming the worker. The result bits are
+    /// untouched: instrumentation only ever *times* the compute.
+    fn execute(self, worker: usize, shared: &BatchShared, obs: Option<&Obs>) {
+        let BatchTask { idx, work, reply } = self;
+        let kind = work.kind();
+        let wait = shared.enqueued.elapsed();
+        if let Some(obs) = obs {
+            obs.pool_queue_wait.record_duration(wait);
+        }
+        let span = shared.trace.as_ref().map(|ctx| {
             let mut span = ctx.child(kind);
             span.attr("worker", worker.to_string());
-            span.attr("idx", self.idx().to_string());
+            span.attr("idx", idx.to_string());
             span.attr("queue_wait_ns", wait.as_nanos().to_string());
             span
         });
         let started = Instant::now();
-        let outcome = self.compute();
-        let execute = started.elapsed();
-        obs.pool_execute.record_duration(execute);
-        match kind {
-            "pool.fit" => obs.fit.record_duration(execute),
-            _ => obs.score.record_duration(execute),
+        let result = work.compute();
+        if let Some(obs) = obs {
+            let execute = started.elapsed();
+            obs.pool_execute.record_duration(execute);
+            match kind {
+                "pool.fit" => obs.fit.record_duration(execute),
+                _ => obs.score.record_duration(execute),
+            }
         }
-        if let Some(span) = span.take() {
+        if let Some(span) = span {
             span.finish();
         }
         // The reply goes out only after every histogram and span above is
         // recorded: a caller that has collected its batch — and anything
         // sequenced after it, like a `/metrics` scrape racing right behind
         // the response — always observes the task's recordings.
-        outcome.send();
-    }
-}
-
-/// A detached reply handle for one batch task: the submission index plus a
-/// clone of the reply sender, held *outside* the catch_unwind closure so a
-/// panicking task can still be answered with a typed error instead of the
-/// collector seeing a dead channel.
-enum BatchResponder {
-    Fit {
-        idx: usize,
-        reply: Sender<(usize, Result<Series2Graph>)>,
-    },
-    Score {
-        idx: usize,
-        reply: Sender<(usize, Result<Vec<f64>>)>,
-    },
-}
-
-impl BatchResponder {
-    /// Delivers `error` to the submitter's slot.
-    fn send_err(self, error: Error) {
-        match self {
-            BatchResponder::Fit { idx, reply } => {
-                let _ = reply.send((idx, Err(error)));
-            }
-            BatchResponder::Score { idx, reply } => {
-                let _ = reply.send((idx, Err(error)));
-            }
-        }
-    }
-}
-
-/// A computed batch-task result not yet delivered. Separating compute from
-/// delivery lets the instrumented path record its histograms and finish
-/// its span strictly *before* the caller can observe the result.
-enum BatchReply {
-    Fit {
-        idx: usize,
-        // Boxed: a fitted model dwarfs the score variant, and the box costs
-        // one allocation per *fit* — noise next to the fit itself.
-        result: Box<Result<Series2Graph>>,
-        reply: Sender<(usize, Result<Series2Graph>)>,
-    },
-    Score {
-        idx: usize,
-        result: Result<Vec<f64>>,
-        reply: Sender<(usize, Result<Vec<f64>>)>,
-    },
-}
-
-impl BatchReply {
-    /// Delivers the `(submission index, result)` reply.
-    fn send(self) {
-        match self {
-            BatchReply::Fit { idx, result, reply } => {
-                let _ = reply.send((idx, *result));
-            }
-            BatchReply::Score { idx, result, reply } => {
-                let _ = reply.send((idx, result));
-            }
-        }
+        let _ = reply.send((idx, result));
     }
 }
 
@@ -565,71 +460,70 @@ impl WorkerPool {
 
     /// Fits one model per job, in parallel across the pool's work-stealing
     /// scheduler. Results come back in submission order; each job fails
-    /// independently.
-    pub fn fit_batch(&self, jobs: Vec<FitJob>) -> Vec<Result<Series2Graph>> {
-        self.fit_batch_traced(jobs, None)
-    }
-
-    /// [`WorkerPool::fit_batch`] under a trace: each task's worker opens a
-    /// `pool.fit` span below `trace`. Results are identical.
-    pub fn fit_batch_traced(
+    /// independently. Under a trace (`span` is `Some`) each task's worker
+    /// opens a `pool.fit` span below it, and the span's deadline is
+    /// checked at pickup; results are identical either way.
+    pub fn fit_batch(
         &self,
         jobs: Vec<FitJob>,
-        trace: Option<SpanCtx>,
+        span: Option<&SpanCtx>,
     ) -> Vec<Result<Series2Graph>> {
-        let n = jobs.len();
-        let (reply, inbox) = channel();
-        let tasks: VecDeque<BatchTask> = jobs
-            .into_iter()
-            .enumerate()
-            .map(|(idx, job)| BatchTask::Fit {
-                idx,
-                job,
-                reply: reply.clone(),
-            })
-            .collect();
-        drop(reply);
-        self.submit_batch(tasks, trace);
-        Self::collect(n, inbox)
+        self.run_jobs(
+            jobs.into_iter().map(Work::Fit),
+            span,
+            |output| match output {
+                Output::Fit(model) => *model,
+                Output::Score(_) => unreachable!("a fit task answers with a model"),
+            },
+        )
     }
 
     /// Scores one series per job against its (shared) model, in parallel
     /// across the pool's work-stealing scheduler. Results are anomaly-score
     /// profiles in submission order, identical to what a sequential loop
     /// over [`Series2Graph::anomaly_scores`] produces — stealing moves
-    /// tasks between workers, never across result slots.
-    pub fn score_batch(&self, jobs: Vec<ScoreJob>) -> Vec<Result<Vec<f64>>> {
-        self.score_batch_traced(jobs, None)
-    }
-
-    /// [`WorkerPool::score_batch`] under a trace: each task's worker opens
-    /// a `pool.score` span below `trace`. Results are identical.
-    pub fn score_batch_traced(
+    /// tasks between workers, never across result slots. `span` works as
+    /// in [`WorkerPool::fit_batch`], with `pool.score` task spans.
+    pub fn score_batch(
         &self,
         jobs: Vec<ScoreJob>,
-        trace: Option<SpanCtx>,
+        span: Option<&SpanCtx>,
     ) -> Vec<Result<Vec<f64>>> {
-        let n = jobs.len();
+        self.run_jobs(
+            jobs.into_iter().map(Work::Score),
+            span,
+            |output| match output {
+                Output::Score(scores) => scores,
+                Output::Fit(_) => unreachable!("a score task answers with scores"),
+            },
+        )
+    }
+
+    /// Builds one task per work item, submits them as one batch, and
+    /// collects the replies in submission order, unwrapping each output
+    /// with `unwrap`.
+    fn run_jobs<T>(
+        &self,
+        work: impl Iterator<Item = Work>,
+        span: Option<&SpanCtx>,
+        unwrap: impl Fn(Output) -> T,
+    ) -> Vec<Result<T>> {
         let (reply, inbox) = channel();
-        let tasks: VecDeque<BatchTask> = jobs
-            .into_iter()
+        let tasks: VecDeque<BatchTask> = work
             .enumerate()
-            .map(|(idx, job)| BatchTask::Score {
+            .map(|(idx, work)| BatchTask {
                 idx,
-                job,
+                work,
                 reply: reply.clone(),
             })
             .collect();
         drop(reply);
-        self.submit_batch(tasks, trace);
-        Self::collect(n, inbox)
-    }
-
-    fn collect<T>(n: usize, inbox: Receiver<(usize, Result<T>)>) -> Vec<Result<T>> {
+        let n = tasks.len();
+        self.submit_batch(tasks, span.cloned());
         let mut out: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
         for _ in 0..n {
             match inbox.recv() {
-                Ok((idx, result)) => out[idx] = Some(result),
+                Ok((idx, result)) => out[idx] = Some(result.map(&unwrap)),
                 Err(_) => break, // a worker died; remaining slots become PoolClosed
             }
         }
@@ -704,28 +598,16 @@ impl WorkerPool {
         inbox.recv().map_err(|_| Error::PoolClosed)?
     }
 
-    /// Feeds points into an open streaming session, returning the
-    /// `(window_start, normality)` pairs emitted by this chunk. For
-    /// adaptive sessions prefer [`WorkerPool::push_stream_detailed`] —
-    /// this helper discards the adaptation report (snapshots included).
-    pub fn push_stream(&self, id: &str, values: &[f64]) -> Result<Vec<(usize, f64)>> {
-        Ok(self.push_stream_detailed(id, values)?.emitted)
-    }
-
     /// Feeds points into an open streaming session, returning the emitted
-    /// windows plus, for adaptive sessions, the adaptation report.
-    pub fn push_stream_detailed(&self, id: &str, values: &[f64]) -> Result<StreamPush> {
-        self.push_stream_traced(id, values, None)
-    }
-
-    /// [`WorkerPool::push_stream_detailed`] under a trace: the pinned
-    /// worker opens a `pool.push` span below `span`. Results are
-    /// identical.
-    pub fn push_stream_traced(
+    /// `(window_start, normality)` pairs plus, for adaptive sessions, the
+    /// adaptation report. Under a trace the pinned worker opens a
+    /// `pool.push` span below `span`, and the span's deadline is checked
+    /// at pickup; results are identical either way.
+    pub fn push_stream(
         &self,
         id: &str,
         values: &[f64],
-        span: Option<SpanCtx>,
+        span: Option<&SpanCtx>,
     ) -> Result<StreamPush> {
         let shard = self.shard_for_stream(id);
         let (reply, inbox) = channel();
@@ -736,7 +618,7 @@ impl WorkerPool {
                 id: id.to_string(),
                 values: values.to_vec(),
                 enqueued: Instant::now(),
-                span,
+                span: span.cloned(),
                 reply,
             },
         )
@@ -785,7 +667,7 @@ impl std::fmt::Debug for WorkerPool {
 /// a chunk from the shared injector, then single-task steals from siblings.
 /// Returns when no queued task of this batch remains anywhere (tasks still
 /// *executing* on other workers are theirs to finish).
-fn run_batch(worker: usize, shared: &BatchShared, stats: &PoolStats, obs: Option<&Arc<Obs>>) {
+fn run_batch(worker: usize, shared: &BatchShared, stats: &PoolStats, obs: Option<&Obs>) {
     let workers = shared.deques.len();
     let deadline = shared.trace.as_ref().and_then(|t| t.deadline);
     loop {
@@ -845,28 +727,23 @@ fn run_batch(worker: usize, shared: &BatchShared, stats: &PoolStats, obs: Option
                 // result would only burn a worker the live requests need.
                 if deadline.is_some_and(|d| Instant::now() >= d) {
                     stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                    task.reject(Error::DeadlineExceeded);
+                    let _ = task.reply.send((task.idx, Err(Error::DeadlineExceeded)));
                     continue;
                 }
                 // Counted before the task replies: the channel send inside
-                // `run` happens-after this store, so a caller that has
+                // `execute` happens-after this store, so a caller that has
                 // collected every reply always reads fully-summed counters.
                 stats.executed[worker].fetch_add(1, Ordering::Relaxed);
-                // The responder clone outlives the catch_unwind closure: a
+                // The reply handle outlives the catch_unwind closure: a
                 // panicking compute drops the task (and its reply sender)
                 // mid-unwind, and without this clone the collector would
                 // see a dead channel (`PoolClosed`) instead of the typed
                 // `WorkerPanicked` error.
-                let responder = task.responder();
-                let outcome = catch_unwind(AssertUnwindSafe(|| match obs {
-                    Some(obs) => {
-                        task.run_observed(worker, shared.enqueued, shared.trace.as_ref(), obs)
-                    }
-                    None => task.run(),
-                }));
+                let (idx, reply) = (task.idx, task.reply.clone());
+                let outcome = catch_unwind(AssertUnwindSafe(|| task.execute(worker, shared, obs)));
                 if outcome.is_err() {
                     stats.panics.fetch_add(1, Ordering::Relaxed);
-                    responder.send_err(Error::WorkerPanicked);
+                    let _ = reply.send((idx, Err(Error::WorkerPanicked)));
                 }
             }
             None => break,
@@ -878,7 +755,7 @@ fn worker_loop(worker: usize, rx: Receiver<Job>, stats: &PoolStats, obs_slot: &O
     let mut sessions: HashMap<String, WorkerSession> = HashMap::new();
     while let Ok(job) = rx.recv() {
         stats.depth[worker].fetch_sub(1, Ordering::Relaxed);
-        let obs = obs_slot.get();
+        let obs = obs_slot.get().map(Arc::as_ref);
         match job {
             Job::Batch(shared) => run_batch(worker, &shared, stats, obs),
             Job::OpenStream {
@@ -1025,7 +902,7 @@ mod tests {
                 config: S2gConfig::new(40),
             })
             .collect();
-        let models = pool.fit_batch(jobs);
+        let models = pool.fit_batch(jobs, None);
         assert_eq!(models.len(), 5);
         for (i, model) in models.into_iter().enumerate() {
             assert_eq!(model.unwrap().train_len(), 1500 + 100 * i);
@@ -1050,7 +927,7 @@ mod tests {
                 config: S2gConfig::new(40),
             },
         ];
-        let results = pool.fit_batch(jobs);
+        let results = pool.fit_batch(jobs, None);
         assert!(results[0].is_ok());
         assert!(results[1].is_err());
         assert!(results[2].is_ok());
@@ -1068,13 +945,13 @@ mod tests {
             Err(Error::StreamExists(_))
         ));
         let chunk: Vec<f64> = sine(200, 80.0, 0.0).into_vec();
-        let left = pool.push_stream("left", &chunk).unwrap();
-        let _ = pool.push_stream("right", &chunk[..50]).unwrap();
+        let left = pool.push_stream("left", &chunk, None).unwrap().emitted;
+        let _ = pool.push_stream("right", &chunk[..50], None).unwrap();
         assert_eq!(left.len(), 200 - 120 + 1);
         assert_eq!(pool.close_stream("left").unwrap(), 200);
         assert_eq!(pool.close_stream("right").unwrap(), 50);
         assert!(matches!(
-            pool.push_stream("left", &chunk),
+            pool.push_stream("left", &chunk, None),
             Err(Error::UnknownStream(_))
         ));
         assert!(matches!(
@@ -1108,7 +985,7 @@ mod tests {
                 })
                 .collect();
             let pooled: Vec<Vec<f64>> = pool
-                .score_batch(jobs)
+                .score_batch(jobs, None)
                 .into_iter()
                 .map(|r| r.unwrap())
                 .collect();
@@ -1130,11 +1007,14 @@ mod tests {
         let pool = WorkerPool::new(2);
         let model =
             Arc::new(Series2Graph::fit(&sine(2000, 70.0, 0.0), &S2gConfig::new(35)).unwrap());
-        let _ = pool.score_batch(vec![ScoreJob {
-            model,
-            series: sine(1000, 70.0, 0.3),
-            query_length: 100,
-        }]);
+        let _ = pool.score_batch(
+            vec![ScoreJob {
+                model,
+                series: sine(1000, 70.0, 0.3),
+                query_length: 100,
+            }],
+            None,
+        );
         drop(pool); // must not hang or panic
     }
 }

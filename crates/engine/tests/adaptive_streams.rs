@@ -113,9 +113,15 @@ fn engine_with_store(capacity: usize) -> (Engine, Arc<MemStorage>) {
 fn lru_eviction_order_under_mixed_stored_and_resident_access() {
     let (engine, _storage) = engine_with_store(2);
     let config = S2gConfig::new(40);
-    engine.fit_model("m1", &sine(1500, 80.0), &config).unwrap();
-    engine.fit_model("m2", &sine(1500, 70.0), &config).unwrap();
-    engine.fit_model("m3", &sine(1500, 60.0), &config).unwrap();
+    engine
+        .fit_model("m1", &sine(1500, 80.0), &config, None)
+        .unwrap();
+    engine
+        .fit_model("m2", &sine(1500, 70.0), &config, None)
+        .unwrap();
+    engine
+        .fit_model("m3", &sine(1500, 60.0), &config, None)
+        .unwrap();
     // Capacity 2: m1 was evicted from the registry but persists in the
     // store; all three remain listed.
     assert_eq!(engine.registry().len(), 2);
@@ -124,21 +130,23 @@ fn lru_eviction_order_under_mixed_stored_and_resident_access() {
 
     // A load-through is a *use*: m1 must come back as the most recent,
     // evicting m2 (the least recently used of the residents).
-    engine.model_handle("m1").unwrap();
+    engine.model_handle("m1", None).unwrap();
     assert!(engine.registry().peek("m1").is_some());
     assert!(engine.registry().peek("m2").is_none(), "m2 was the LRU");
     assert!(engine.registry().peek("m3").is_some());
 
     // A registry hit and a load-through must age identically: touch m3
     // (hit), so m1 becomes the LRU again…
-    engine.model_handle("m3").unwrap();
+    engine.model_handle("m3", None).unwrap();
     // …and metadata reads must NOT count as uses, no matter how many.
     for _ in 0..5 {
         let _ = engine.model_info("m1");
         let _ = engine.model_lineage("m1");
         let _ = engine.registry().peek("m1");
     }
-    engine.fit_model("m4", &sine(1500, 50.0), &config).unwrap();
+    engine
+        .fit_model("m4", &sine(1500, 50.0), &config, None)
+        .unwrap();
     assert!(
         engine.registry().peek("m1").is_none(),
         "metadata reads must not have promoted m1 over m3"
@@ -147,7 +155,7 @@ fn lru_eviction_order_under_mixed_stored_and_resident_access() {
     assert!(engine.registry().peek("m4").is_some());
 
     // Evicted models stay servable through the store.
-    assert!(engine.model_handle("m2").is_ok());
+    assert!(engine.model_handle("m2", None).is_ok());
 }
 
 #[test]
@@ -155,7 +163,7 @@ fn adaptive_session_publishes_and_swaps_versions_atomically() {
     let (engine, storage) = engine_with_store(0);
     let config = S2gConfig::new(50);
     engine
-        .fit_model("live", &sine(4000, 100.0), &config)
+        .fit_model("live", &sine(4000, 100.0), &config, None)
         .unwrap();
     let parent_checksum = engine.model_checksum("live").unwrap();
     assert!(engine.model_lineage("live").is_none());
@@ -174,7 +182,7 @@ fn adaptive_session_publishes_and_swaps_versions_atomically() {
     let stream: Vec<f64> = (0..1500)
         .map(|i| (std::f64::consts::TAU * i as f64 / 100.0).sin())
         .collect();
-    let (emitted, status) = engine.push_stream_detailed("adaptive", &stream).unwrap();
+    let (emitted, status) = engine.push_stream("adaptive", &stream, None).unwrap();
     assert_eq!(emitted.len(), 1500 - 150 + 1);
     let status = status.expect("adaptive sessions report status");
     assert!(status.updates >= 128);
@@ -195,7 +203,7 @@ fn adaptive_session_publishes_and_swaps_versions_atomically() {
     // The frozen session still scores against its pinned parent version:
     // its scores are bit-identical to a fresh scorer over the parent
     // model, not the adapted one.
-    let (pinned_emitted, pinned_status) = engine.push_stream_detailed("pinned", &stream).unwrap();
+    let (pinned_emitted, pinned_status) = engine.push_stream("pinned", &stream, None).unwrap();
     assert!(pinned_status.is_none(), "frozen sessions carry no status");
     let parent_model = Series2Graph::fit(&sine(4000, 100.0), &config).unwrap();
     let mut reference = s2g_engine::StreamingScorer::new(parent_model, 150).unwrap();
@@ -213,7 +221,7 @@ fn adaptive_session_publishes_and_swaps_versions_atomically() {
     // A *new* frozen session sees the adapted version: different weights,
     // therefore different scores on the same stream.
     engine.open_stream("fresh", "live", 150).unwrap();
-    let fresh = engine.push_stream("fresh", &stream).unwrap();
+    let (fresh, _) = engine.push_stream("fresh", &stream, None).unwrap();
     assert!(
         fresh
             .iter()
@@ -235,7 +243,7 @@ fn deleting_a_model_stops_snapshot_publication() {
     let (engine, storage) = engine_with_store(0);
     let config = S2gConfig::new(50);
     engine
-        .fit_model("doomed", &sine(4000, 100.0), &config)
+        .fit_model("doomed", &sine(4000, 100.0), &config, None)
         .unwrap();
     engine
         .open_adaptive_stream(
@@ -256,7 +264,7 @@ fn deleting_a_model_stops_snapshot_publication() {
     let stream: Vec<f64> = (0..1200)
         .map(|i| (std::f64::consts::TAU * i as f64 / 100.0).sin())
         .collect();
-    let (emitted, status) = engine.push_stream_detailed("s", &stream).unwrap();
+    let (emitted, status) = engine.push_stream("s", &stream, None).unwrap();
     assert_eq!(emitted.len(), 1200 - 150 + 1);
     let status = status.unwrap();
     assert!(status.updates >= 64, "the session keeps adapting");
@@ -273,7 +281,7 @@ fn lambda_zero_adaptive_stream_is_bit_identical_and_publishes_nothing() {
     let (engine, storage) = engine_with_store(0);
     let config = S2gConfig::new(50);
     engine
-        .fit_model("base", &sine(3000, 90.0), &config)
+        .fit_model("base", &sine(3000, 90.0), &config, None)
         .unwrap();
     let before = engine.model_checksum("base").unwrap();
 
@@ -292,8 +300,8 @@ fn lambda_zero_adaptive_stream_is_bit_identical_and_publishes_nothing() {
     let stream: Vec<f64> = (0..900)
         .map(|i| (std::f64::consts::TAU * i as f64 / 90.0 + 0.2).sin())
         .collect();
-    let frozen = engine.push_stream("frozen", &stream).unwrap();
-    let (inert, status) = engine.push_stream_detailed("inert", &stream).unwrap();
+    let (frozen, _) = engine.push_stream("frozen", &stream, None).unwrap();
+    let (inert, status) = engine.push_stream("inert", &stream, None).unwrap();
     let status = status.unwrap();
     assert_eq!(status.updates, 0);
     assert!(status.published_checksum.is_none());

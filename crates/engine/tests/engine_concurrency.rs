@@ -57,7 +57,7 @@ fn pool_scoring_matches_sequential_exactly() {
             })
             .collect();
         let pooled: Vec<Vec<f64>> = pool
-            .score_batch(jobs)
+            .score_batch(jobs, None)
             .into_iter()
             .map(|r| r.unwrap())
             .collect();
@@ -81,12 +81,14 @@ fn engine_score_many_matches_sequential() {
     let train: Vec<f64> = (0..5000)
         .map(|i| (std::f64::consts::TAU * i as f64 / 90.0).sin())
         .collect();
-    let model = engine
-        .fit_model("fleet", &TimeSeries::from(train), &S2gConfig::new(45))
+    let (model, _) = engine
+        .fit_model("fleet", &TimeSeries::from(train), &S2gConfig::new(45), None)
         .unwrap();
 
     let fleet: Vec<TimeSeries> = (0..8).map(|i| fleet_series(i, 2500)).collect();
-    let pooled = engine.score_many("fleet", fleet.clone(), 135).unwrap();
+    let pooled = engine
+        .score_many("fleet", fleet.clone(), 135, None)
+        .unwrap();
     for (series, result) in fleet.iter().zip(pooled) {
         let expected = model.anomaly_scores(series, 135).unwrap();
         assert_eq!(result.unwrap(), expected);
@@ -102,7 +104,7 @@ fn parallel_fit_batch_matches_sequential_fits() {
             config: S2gConfig::new(40),
         })
         .collect();
-    let pooled = pool.fit_batch(jobs);
+    let pooled = pool.fit_batch(jobs, None);
 
     for (i, result) in pooled.into_iter().enumerate() {
         let pooled_model = result.unwrap();
@@ -135,7 +137,12 @@ fn concurrent_callers_share_one_engine() {
         .map(|i| (std::f64::consts::TAU * i as f64 / 80.0).sin())
         .collect();
     engine
-        .fit_model("shared", &TimeSeries::from(train), &S2gConfig::new(40))
+        .fit_model(
+            "shared",
+            &TimeSeries::from(train),
+            &S2gConfig::new(40),
+            None,
+        )
         .unwrap();
 
     let handles: Vec<_> = (0..6)
@@ -145,7 +152,9 @@ fn concurrent_callers_share_one_engine() {
                 let fleet: Vec<TimeSeries> = (0..4)
                     .map(|i| fleet_series(caller * 10 + i, 2000))
                     .collect();
-                let results = engine.score_many("shared", fleet.clone(), 120).unwrap();
+                let results = engine
+                    .score_many("shared", fleet.clone(), 120, None)
+                    .unwrap();
                 let model = engine.registry().require("shared").unwrap();
                 for (series, result) in fleet.iter().zip(results) {
                     let expected = model.anomaly_scores(series, 120).unwrap();
@@ -170,7 +179,7 @@ fn streaming_sessions_survive_interleaved_pushes() {
         .map(|i| (std::f64::consts::TAU * i as f64 / 100.0).sin())
         .collect();
     engine
-        .fit_model("base", &TimeSeries::from(train), &S2gConfig::new(50))
+        .fit_model("base", &TimeSeries::from(train), &S2gConfig::new(50), None)
         .unwrap();
 
     // Two sessions fed the same data via different chunkings must emit the
@@ -180,9 +189,9 @@ fn streaming_sessions_survive_interleaved_pushes() {
     let data = fleet_series(3, 1200);
     let mut a_emitted = Vec::new();
     for chunk in data.values().chunks(101) {
-        a_emitted.extend(engine.push_stream("a", chunk).unwrap());
+        a_emitted.extend(engine.push_stream("a", chunk, None).unwrap().0);
     }
-    let b_emitted = engine.push_stream("b", data.values()).unwrap();
+    let (b_emitted, _) = engine.push_stream("b", data.values(), None).unwrap();
     assert_eq!(a_emitted, b_emitted);
     assert_eq!(engine.close_stream("a").unwrap(), 1200);
     assert_eq!(engine.close_stream("b").unwrap(), 1200);

@@ -67,7 +67,7 @@ fn panicking_task_answers_typed_error_and_worker_survives() {
     let mut settings = Settings::new(Action::Panic);
     settings.budget = Some(1);
     s2g_failpoints::arm("pool.task.panic", settings).unwrap();
-    let results = pool.score_batch(score_jobs(&model, 1));
+    let results = pool.score_batch(score_jobs(&model, 1), None);
     s2g_failpoints::disarm_all();
     std::panic::set_hook(prev_hook);
 
@@ -79,7 +79,7 @@ fn panicking_task_answers_typed_error_and_worker_survives() {
     assert_eq!(pool.task_panics(), 1);
 
     // The single worker caught the unwind and keeps serving.
-    let after = pool.score_batch(score_jobs(&model, 3));
+    let after = pool.score_batch(score_jobs(&model, 3), None);
     assert!(after.iter().all(|r| r.is_ok()));
     assert_eq!(pool.pending_tasks(), 0);
 }
@@ -92,7 +92,7 @@ fn error_armed_failpoint_fails_only_budgeted_tasks() {
     let mut settings = Settings::new(Action::Error);
     settings.budget = Some(2);
     s2g_failpoints::arm("pool.task.panic", settings).unwrap();
-    let results = pool.score_batch(score_jobs(&model, 6));
+    let results = pool.score_batch(score_jobs(&model, 6), None);
     s2g_failpoints::disarm_all();
     let failed = results
         .iter()
@@ -110,7 +110,7 @@ fn expired_deadline_rejects_queued_tasks_without_executing() {
     let model = fitted_model();
     let pool = WorkerPool::new(2);
     let (_trace, ctx) = ctx_with_deadline(Some(Instant::now() - Duration::from_millis(5)));
-    let results = pool.score_batch_traced(score_jobs(&model, 4), Some(ctx));
+    let results = pool.score_batch(score_jobs(&model, 4), Some(&ctx));
     assert!(results
         .iter()
         .all(|r| matches!(r, Err(Error::DeadlineExceeded))));
@@ -128,13 +128,13 @@ fn live_deadline_leaves_results_bit_identical() {
     let sequential = model.anomaly_scores(&series, 120).unwrap();
     let pool = WorkerPool::new(2);
     let (_trace, ctx) = ctx_with_deadline(Some(Instant::now() + Duration::from_secs(60)));
-    let results = pool.score_batch_traced(
+    let results = pool.score_batch(
         vec![ScoreJob {
             model: Arc::clone(&model),
             series,
             query_length: 120,
         }],
-        Some(ctx),
+        Some(&ctx),
     );
     assert_eq!(results[0].as_ref().unwrap(), &sequential);
     assert_eq!(pool.deadline_expired(), 0);
@@ -149,13 +149,13 @@ fn expired_stream_push_is_rejected_and_session_survives() {
     let chunk: Vec<f64> = sine(200, 80.0, 0.0).into_vec();
 
     let (_trace, ctx) = ctx_with_deadline(Some(Instant::now() - Duration::from_millis(1)));
-    let expired = pool.push_stream_traced("chaos", &chunk, Some(ctx));
+    let expired = pool.push_stream("chaos", &chunk, Some(&ctx));
     assert!(matches!(expired, Err(Error::DeadlineExceeded)));
     assert_eq!(pool.deadline_expired(), 1);
 
     // The session never saw the expired chunk: a fresh push consumes from
     // point zero, exactly as if the expired push had never been sent.
-    let live = pool.push_stream("chaos", &chunk).unwrap();
+    let live = pool.push_stream("chaos", &chunk, None).unwrap().emitted;
     assert_eq!(live.len(), 200 - 120 + 1);
     assert_eq!(pool.close_stream("chaos").unwrap(), 200);
 }

@@ -53,7 +53,7 @@ fn skewed_batches_score_bit_identical_to_sequential() {
                 query_length: 120,
             })
             .collect();
-        let pooled = pool.score_batch(jobs);
+        let pooled = pool.score_batch(jobs, None);
         for (idx, (p, s)) in pooled.iter().zip(&sequential).enumerate() {
             let p = p.as_ref().unwrap();
             assert_eq!(p.len(), s.len(), "job {idx}, {workers} workers");
@@ -91,7 +91,7 @@ fn skewed_fit_batches_produce_identical_models() {
                 config: S2gConfig::new(45),
             })
             .collect();
-        let pooled = pool.fit_batch(jobs);
+        let pooled = pool.fit_batch(jobs, None);
         for (idx, (result, expected)) in pooled.into_iter().zip(&sequential).enumerate() {
             let checksum = codec::model_checksum(&result.unwrap());
             assert_eq!(
@@ -116,13 +116,13 @@ fn adaptive_session_unchanged_by_concurrent_batch_load() {
 
     // Baseline: adaptive session on a quiet engine.
     let quiet = Engine::new(EngineConfig::default().with_workers(3));
-    quiet.fit_model("m", &train, &config).unwrap();
+    quiet.fit_model("m", &train, &config, None).unwrap();
     quiet
         .open_adaptive_stream("s", "m", 150, adapt.clone())
         .unwrap();
     let mut baseline = Vec::new();
     for chunk in stream.values().chunks(97) {
-        baseline.extend(quiet.push_stream("s", chunk).unwrap());
+        baseline.extend(quiet.push_stream("s", chunk, None).unwrap().0);
     }
     assert!(!baseline.is_empty());
 
@@ -131,8 +131,8 @@ fn adaptive_session_unchanged_by_concurrent_batch_load() {
     // adapted snapshots cannot change what the load scores — and the load
     // must not change what the session emits.
     let loaded = Arc::new(Engine::new(EngineConfig::default().with_workers(3)));
-    loaded.fit_model("m", &train, &config).unwrap();
-    let load_model = loaded.model_handle("m").unwrap();
+    loaded.fit_model("m", &train, &config, None).unwrap();
+    let load_model = loaded.model_handle("m", None).unwrap();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let hammer = {
         let engine = Arc::clone(&loaded);
@@ -148,7 +148,7 @@ fn adaptive_session_unchanged_by_concurrent_batch_load() {
                         query_length: 150,
                     })
                     .collect();
-                for result in engine.score_batch(jobs) {
+                for result in engine.score_batch(jobs, None) {
                     result.unwrap();
                 }
                 rounds += 1;
@@ -162,7 +162,7 @@ fn adaptive_session_unchanged_by_concurrent_batch_load() {
         .unwrap();
     let mut under_load = Vec::new();
     for chunk in stream.values().chunks(97) {
-        under_load.extend(loaded.push_stream("s", chunk).unwrap());
+        under_load.extend(loaded.push_stream("s", chunk, None).unwrap().0);
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let rounds = hammer.join().unwrap();

@@ -164,6 +164,7 @@ impl ApiError {
             C::SeriesTooShort { .. } => ApiError::new(422, "series_too_short", message),
             C::QueryShorterThanPattern { .. } => ApiError::new(422, "query_too_short", message),
             C::DegenerateEmbedding(_) => ApiError::new(422, "degenerate_series", message),
+            C::NonFiniteValue { .. } => ApiError::new(422, "non_finite_value", message),
             C::InvalidConfig(_) => ApiError::new(400, "invalid_config", message),
             _ => ApiError::new(500, "internal", message),
         }
@@ -179,11 +180,12 @@ impl From<s2g_core::Error> for ApiError {
 
 impl From<s2g_timeseries::Error> for ApiError {
     fn from(e: s2g_timeseries::Error) -> Self {
-        ApiError::new(
-            400,
-            "invalid_csv",
-            format!("could not parse series body: {e}"),
-        )
+        let (status, code) = match e {
+            // The body parsed, but to values no model can fit or score.
+            s2g_timeseries::Error::NonFinite { .. } => (422, "non_finite_value"),
+            _ => (400, "invalid_csv"),
+        };
+        ApiError::new(status, code, format!("could not parse series body: {e}"))
     }
 }
 

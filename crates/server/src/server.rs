@@ -1862,9 +1862,7 @@ fn handle_fit(
     // The info describes the model *this* request fitted (no registry
     // re-lookup a concurrent re-fit of the same name could race), and its
     // checksum was computed once at registration.
-    let (_model, info) = shared
-        .engine
-        .fit_model_traced(name, &series, &config, Some(ctx))?;
+    let (_model, info) = shared.engine.fit_model(name, &series, &config, Some(ctx))?;
     shared.metrics.record_fit();
     let mut body = model_info_json(&info);
     if let Json::Obj(pairs) = &mut body {
@@ -1918,21 +1916,14 @@ fn handle_delete_model(shared: &Shared, name: &str) -> Result<Response, ApiError
     Ok(Response::ok(vec![body.encode()]))
 }
 
-/// Parses one comma-separated series line; `Err` carries the first
-/// unparseable token.
-fn parse_series_line(line: &str) -> Result<Vec<f64>, String> {
-    let mut values = Vec::new();
-    for token in line.split(',') {
-        let token = token.trim();
-        if token.is_empty() {
-            continue;
-        }
-        match token.parse::<f64>() {
-            Ok(value) => values.push(value),
-            Err(_) => return Err(token.to_string()),
-        }
-    }
-    Ok(values)
+/// Parses one comma-separated series line found on 1-based line `line`,
+/// with the value rule of the file parser ([`ts_io::parse_value`]).
+fn parse_series_line(line: usize, text: &str) -> Result<Vec<f64>, s2g_timeseries::Error> {
+    text.split(',')
+        .map(str::trim)
+        .filter(|token| !token.is_empty())
+        .map(|token| ts_io::parse_value(line, token))
+        .collect()
 }
 
 fn handle_score(
@@ -1950,19 +1941,13 @@ fn handle_score(
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match parse_series_line(line) {
+        match parse_series_line(lineno + 1, line) {
             Ok(values) => series.push(TimeSeries::from(values)),
             // Mirror `parse_series`: an unparseable first line is treated
             // as a header row and skipped, so the same CSV file is
             // accepted by fit and score alike.
-            Err(_) if lineno == 0 => continue,
-            Err(token) => {
-                return Err(ApiError::new(
-                    400,
-                    "invalid_csv",
-                    format!("line {}: unparseable value {token:?}", lineno + 1),
-                ));
-            }
+            Err(s2g_timeseries::Error::Parse { .. }) if lineno == 0 => continue,
+            Err(e) => return Err(e.into()),
         }
     }
     if series.is_empty() {
@@ -1973,7 +1958,7 @@ fn handle_score(
     let n_series = series.len() as u64;
     let results = shared
         .engine
-        .score_many_traced(name, series, query_length, Some(ctx))?;
+        .score_many(name, series, query_length, Some(ctx))?;
     shared.metrics.record_scores(n_series);
     let lines = results
         .into_iter()
@@ -2092,10 +2077,7 @@ fn handle_push_session(
     admit(shared)?;
     shared.sessions.touch(&shared.engine, id)?;
     let series = ts_io::parse_series(request.body_text()?)?;
-    let (emitted, status) =
-        shared
-            .engine
-            .push_stream_detailed_traced(id, series.values(), Some(ctx))?;
+    let (emitted, status) = shared.engine.push_stream(id, series.values(), Some(ctx))?;
     let pairs: Vec<Json> = emitted
         .iter()
         .map(|&(start, normality)| Json::Arr(vec![Json::from(start), Json::from(normality)]))

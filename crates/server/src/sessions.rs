@@ -221,7 +221,7 @@ mod tests {
                 .collect::<Vec<f64>>(),
         );
         engine
-            .fit_model("base", &series, &S2gConfig::new(40))
+            .fit_model("base", &series, &S2gConfig::new(40), None)
             .unwrap();
         engine
     }
@@ -234,7 +234,7 @@ mod tests {
         assert_eq!(id, "s-1");
         assert_eq!(table.describe(&id), Some(("base".to_string(), 160)));
         table.touch(&engine, &id).unwrap();
-        assert!(engine.push_stream(&id, &[0.0, 0.1]).is_ok());
+        assert!(engine.push_stream(&id, &[0.0, 0.1], None).is_ok());
         assert!(table.forget(&id));
         assert!(!table.forget(&id));
         assert!(table.touch(&engine, &id).is_err());
@@ -251,13 +251,13 @@ mod tests {
         assert_eq!(table.evict_idle(&engine), 1);
         assert!(table.is_empty());
         // The engine stream was closed by the eviction.
-        assert!(engine.push_stream(&id, &[0.0]).is_err());
+        assert!(engine.push_stream(&id, &[0.0], None).is_err());
         // Lazy path: an expired session dies on touch too.
         let id2 = table.create(&engine, "base", 160, None).unwrap();
         std::thread::sleep(Duration::from_millis(80));
         let err = table.touch(&engine, &id2).unwrap_err();
         assert_eq!(err.code, "unknown_session");
-        assert!(engine.push_stream(&id2, &[0.0]).is_err());
+        assert!(engine.push_stream(&id2, &[0.0], None).is_err());
     }
 
     #[test]

@@ -436,6 +436,17 @@ fn admission_gate_sheds_with_retry_after_and_retrying_client_recovers() {
         let series: Vec<Vec<f64>> = (0..6).map(|_| probe.clone()).collect();
         thread::spawn(move || client.score("gate", 160, &series).unwrap())
     };
+    // Probe only once the batch is admitted and queued: a probe admitted
+    // first would make the gate shed the batch instead. `/metrics` is not
+    // admission-gated, so polling it cannot itself be shed.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while metric(&client.metrics().unwrap(), "s2g_pool_tasks_pending").unwrap() < 1 {
+        assert!(
+            Instant::now() < deadline,
+            "the background batch never queued"
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
 
     // While the backlog sits queued, further pool-bound work is shed at
     // the door with `429 Retry-After` — a typed error, not a hang.

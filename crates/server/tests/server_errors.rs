@@ -202,6 +202,73 @@ fn invalid_inputs_get_400_or_422() {
     server_thread.join().unwrap();
 }
 
+#[test]
+fn non_finite_values_get_422_on_fit_score_and_push() {
+    let (addr, handle, server_thread) = start_server(ServerConfig::default());
+    let client = Client::new(addr);
+    client
+        .fit_model("model", "pattern_length=40", &sine_csv(2000))
+        .unwrap();
+    let session = client.open_session("model", 160).unwrap();
+
+    let expect_422 = |method: &str, target: &str, body: String, line: &str, token: &str| {
+        let response = client.request(method, target, body.as_bytes()).unwrap();
+        match response.into_result() {
+            Err(ClientError::Api {
+                status,
+                code,
+                message,
+            }) => {
+                assert_eq!(
+                    (status, code.as_str()),
+                    (422, "non_finite_value"),
+                    "{target}"
+                );
+                assert!(
+                    message.contains(line) && message.contains(token),
+                    "{target}: message {message:?} must name {line} and {token:?}"
+                );
+            }
+            other => panic!("{target}: expected 422 non_finite_value, got {other:?}"),
+        }
+    };
+
+    // Fit: a `nan` on line 1 is a value, not a header row.
+    expect_422(
+        "PUT",
+        "/models/poisoned?pattern_length=40",
+        format!("nan\n{}", sine_csv(2000)),
+        "line 1",
+        "nan",
+    );
+    // Score: one comma-separated series per line.
+    let clean: Vec<String> = sine_csv_values(600).iter().map(f64::to_string).collect();
+    let mut poisoned = clean.clone();
+    poisoned[300] = "inf".to_string();
+    expect_422(
+        "POST",
+        "/models/model/score?query_length=150",
+        format!("{}\n{}\n", clean.join(","), poisoned.join(",")),
+        "line 2",
+        "inf",
+    );
+    // Push: one value per line, like fit.
+    expect_422(
+        "POST",
+        &format!("/sessions/{session}/push"),
+        "0.1\n-inf\n0.3\n".to_string(),
+        "line 2",
+        "-inf",
+    );
+    assert!(
+        client.model_info("poisoned").is_err(),
+        "a rejected fit must register nothing"
+    );
+
+    handle.shutdown();
+    server_thread.join().unwrap();
+}
+
 fn sine_csv_values(n: usize) -> Vec<f64> {
     (0..n)
         .map(|i| (std::f64::consts::TAU * i as f64 / 80.0).sin())

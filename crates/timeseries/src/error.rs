@@ -44,6 +44,13 @@ pub enum Error {
         /// The raw token that failed to parse.
         token: String,
     },
+    /// A value parsed, but as `NaN` or `±inf`, which no series may hold.
+    NonFinite {
+        /// 1-based line number of the offending record.
+        line: usize,
+        /// The raw token that parsed to a non-finite value.
+        token: String,
+    },
 }
 
 impl fmt::Display for Error {
@@ -62,6 +69,9 @@ impl fmt::Display for Error {
             Error::Io(e) => write!(f, "I/O error: {e}"),
             Error::Parse { line, token } => {
                 write!(f, "cannot parse {token:?} as a number on line {line}")
+            }
+            Error::NonFinite { line, token } => {
+                write!(f, "non-finite value {token:?} on line {line}")
             }
         }
     }

@@ -28,28 +28,46 @@ impl SeriesParser {
     /// Consumes one line (0-indexed). Empty lines and lines starting with
     /// `#` are skipped; a first line that does not parse as a number is
     /// treated as a header row; only the first comma-separated field of a
-    /// line is read.
+    /// line is read. A `nan` or `inf` is a value, never a header, and is
+    /// rejected on any line.
     fn push_line(&mut self, lineno: usize, line: &str) -> Result<()> {
         let token = line.trim();
         if token.is_empty() || token.starts_with('#') {
             return Ok(());
         }
         let field = token.split(',').next().unwrap_or(token).trim();
-        match field.parse::<f64>() {
+        match parse_value(lineno + 1, field) {
             Ok(v) => {
                 self.values.push(v);
                 Ok(())
             }
-            Err(_) if lineno == 0 => Ok(()), // tolerate a header row
-            Err(_) => Err(Error::Parse {
-                line: lineno + 1,
-                token: field.to_string(),
-            }),
+            Err(Error::Parse { .. }) if lineno == 0 => Ok(()), // tolerate a header row
+            Err(e) => Err(e),
         }
     }
 
     fn finish(self) -> TimeSeries {
         TimeSeries::from(self.values)
+    }
+}
+
+/// Parses one value token found on 1-based line `line`: the value rule of
+/// every series parser, so fit, score and stream bodies agree on it.
+///
+/// # Errors
+/// [`Error::Parse`] when the token is not a number, [`Error::NonFinite`]
+/// when it is `NaN` or `±inf`.
+pub fn parse_value(line: usize, token: &str) -> Result<f64> {
+    match token.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        Ok(_) => Err(Error::NonFinite {
+            line,
+            token: token.to_string(),
+        }),
+        Err(_) => Err(Error::Parse {
+            line,
+            token: token.to_string(),
+        }),
     }
 }
 
@@ -239,6 +257,30 @@ mod tests {
         assert_eq!(parsed, read);
         assert_eq!(parsed.values(), &[0.1, -2.5e-3, 7.0]);
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected_with_their_line() {
+        for (text, line, token) in [
+            ("nan\n1.0\n", 1, "nan"),
+            ("value\n1.0\ninf\n", 3, "inf"),
+            ("1.0\n-Infinity,0\n", 2, "-Infinity"),
+        ] {
+            match parse_series(text) {
+                Err(Error::NonFinite { line: l, token: t }) => {
+                    assert_eq!((l, t.as_str()), (line, token), "{text:?}");
+                }
+                other => panic!("{text:?}: expected NonFinite, got {other:?}"),
+            }
+        }
+        let path = tmp("non_finite.csv");
+        std::fs::write(&path, "1.0\nNaN\n").unwrap();
+        assert!(matches!(
+            read_series(&path),
+            Err(Error::NonFinite { line: 2, .. })
+        ));
+        std::fs::remove_file(path).ok();
+        assert_eq!(parse_value(1, "2.5").unwrap(), 2.5);
     }
 
     #[test]

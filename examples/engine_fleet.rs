@@ -58,12 +58,12 @@ fn main() {
         .expect("load failed");
     let probe = sed.series.prefix(5_000);
     let a = engine
-        .score_many("sed", vec![probe.clone()], 150)
+        .score_many("sed", vec![probe.clone()], 150, None)
         .unwrap()
         .remove(0)
         .unwrap();
     let b = engine
-        .score_many("sed-restored", vec![probe], 150)
+        .score_many("sed-restored", vec![probe], 150, None)
         .unwrap()
         .remove(0)
         .unwrap();
@@ -90,7 +90,7 @@ fn main() {
         })
         .collect();
     let profiles = engine
-        .score_many("sine", fleet, 180)
+        .score_many("sine", fleet, 180, None)
         .expect("batch scoring failed");
     for (k, profile) in profiles.into_iter().enumerate() {
         let profile = profile.expect("scoring a fleet member failed");
@@ -115,9 +115,9 @@ fn main() {
         .collect();
     let mut emitted_a = Vec::new();
     for chunk in live.chunks(256) {
-        emitted_a.extend(engine.push_stream("sensor-a", chunk).unwrap());
+        emitted_a.extend(engine.push_stream("sensor-a", chunk, None).unwrap().0);
     }
-    let emitted_b = engine.push_stream("sensor-b", &live).unwrap();
+    let (emitted_b, _) = engine.push_stream("sensor-b", &live, None).unwrap();
     assert_eq!(
         emitted_a, emitted_b,
         "chunking must not change streamed scores"

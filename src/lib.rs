@@ -79,14 +79,14 @@
 //!     .map(|i| (std::f64::consts::TAU * i as f64 / 100.0).sin())
 //!     .collect();
 //! engine
-//!     .fit_model("line-7", &TimeSeries::from(train), &S2gConfig::new(50))
+//!     .fit_model("line-7", &TimeSeries::from(train), &S2gConfig::new(50), None)
 //!     .unwrap();
 //! let fleet = vec![TimeSeries::from(
 //!     (0..800)
 //!         .map(|i| (std::f64::consts::TAU * i as f64 / 100.0).sin())
 //!         .collect::<Vec<f64>>(),
 //! )];
-//! let profiles = engine.score_many("line-7", fleet, 150).unwrap();
+//! let profiles = engine.score_many("line-7", fleet, 150, None).unwrap();
 //! assert_eq!(profiles[0].as_ref().unwrap().len(), 800 - 150 + 1);
 //! ```
 //!
