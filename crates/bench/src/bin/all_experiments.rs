@@ -9,14 +9,16 @@
 
 use std::process::Command;
 
+use s2g_bench::runner::{or_usage_exit, scale_from_args, seed_from_args};
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = if args.iter().any(|a| a == "--scale") {
-        s2g_bench::runner::scale_from_args(&args)
+        or_usage_exit(scale_from_args(&args))
     } else {
         0.1
     };
-    let seed = s2g_bench::runner::seed_from_args(&args);
+    let seed = or_usage_exit(seed_from_args(&args));
 
     let binaries = ["fig4", "fig5", "fig6", "fig7", "fig8", "table3", "fig9"];
     let exe_dir = std::env::current_exe()

@@ -9,14 +9,14 @@
 //! Usage: `cargo run --release -p s2g-bench --bin fig4 [--scale 0.2] [--seed 1]`
 
 use s2g_baselines::matrix_profile::stomp;
-use s2g_bench::runner::{ground_truth, scale_from_args, seed_from_args};
+use s2g_bench::runner::{ground_truth, or_usage_exit, scale_from_args, seed_from_args};
 use s2g_datasets::mba::{generate_mba_with_length, MbaRecord};
 use s2g_eval::table::Table;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = scale_from_args(&args);
-    let seed = seed_from_args(&args);
+    let scale = or_usage_exit(scale_from_args(&args));
+    let seed = or_usage_exit(seed_from_args(&args));
     let length = ((100_000.0 * scale) as usize).max(5_000);
 
     println!("Figure 4 — STOMP length sensitivity on MBA(803)-like ECG ({length} points)\n");

@@ -9,7 +9,7 @@
 //!
 //! Usage: `cargo run --release -p s2g-bench --bin fig5 [--scale 0.2] [--seed 1]`
 
-use s2g_bench::runner::{ground_truth, scale_from_args, seed_from_args};
+use s2g_bench::runner::{ground_truth, or_usage_exit, scale_from_args, seed_from_args};
 use s2g_core::{S2gConfig, Series2Graph};
 use s2g_datasets::mba::{generate_mba_with_length, MbaRecord};
 use s2g_eval::table::{fmt_accuracy, Table};
@@ -17,8 +17,8 @@ use s2g_eval::topk::top_k_accuracy;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = scale_from_args(&args);
-    let seed = seed_from_args(&args);
+    let scale = or_usage_exit(scale_from_args(&args));
+    let seed = or_usage_exit(seed_from_args(&args));
     let length = ((100_000.0 * scale) as usize).max(10_000);
     let query_length = 160usize; // > every swept ℓ; covers both anomaly types
 

@@ -9,7 +9,7 @@
 //! Usage: `cargo run --release -p s2g-bench --bin fig6 [--scale 0.1] [--seed 1]`
 
 use s2g_baselines::matrix_profile::stomp_anomaly_scores;
-use s2g_bench::runner::{ground_truth, scale_from_args, seed_from_args};
+use s2g_bench::runner::{ground_truth, or_usage_exit, scale_from_args, seed_from_args};
 use s2g_core::{S2gConfig, Series2Graph};
 use s2g_datasets::catalog::Dataset;
 use s2g_eval::table::{fmt_accuracy, Table};
@@ -17,8 +17,8 @@ use s2g_eval::topk::top_k_accuracy;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = scale_from_args(&args).min(0.5);
-    let seed = seed_from_args(&args);
+    let scale = or_usage_exit(scale_from_args(&args)).min(0.5);
+    let seed = or_usage_exit(seed_from_args(&args));
     let anomaly_len = 75usize;
     let offsets: [i64; 7] = [-60, -40, -20, 0, 20, 40, 60];
 

@@ -5,7 +5,7 @@
 //!
 //! Usage: `cargo run --release -p s2g-bench --bin fig7 [--scale 0.1] [--seed 1] [--part a|b|c|all]`
 
-use s2g_bench::runner::{arg_value, ground_truth, scale_from_args, seed_from_args};
+use s2g_bench::runner::{arg_value, ground_truth, or_usage_exit, scale_from_args, seed_from_args};
 use s2g_core::config::BandwidthRule;
 use s2g_core::{S2gConfig, Series2Graph};
 use s2g_datasets::catalog::Dataset;
@@ -116,8 +116,8 @@ fn part_c(data: &[LabeledSeries]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = scale_from_args(&args).min(0.5);
-    let seed = seed_from_args(&args);
+    let scale = or_usage_exit(scale_from_args(&args)).min(0.5);
+    let seed = or_usage_exit(seed_from_args(&args));
     let part = arg_value(&args, "--part").unwrap_or_else(|| "all".to_string());
 
     println!("Figure 7 — Series2Graph robustness on MBA + SED (scale {scale})\n");

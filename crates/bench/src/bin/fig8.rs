@@ -11,7 +11,7 @@
 //!
 //! Usage: `cargo run --release -p s2g-bench --bin fig8 [--seed 1]`
 
-use s2g_bench::runner::{ground_truth, seed_from_args};
+use s2g_bench::runner::{ground_truth, or_usage_exit, seed_from_args};
 use s2g_core::{S2gConfig, Series2Graph};
 use s2g_datasets::keogh::{generate_discord_dataset, DiscordDataset};
 use s2g_eval::table::Table;
@@ -30,7 +30,7 @@ fn pattern_length(dataset: DiscordDataset) -> usize {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed = seed_from_args(&args);
+    let seed = or_usage_exit(seed_from_args(&args));
 
     println!("Figure 8 — discord identification on the single-anomaly datasets\n");
     let mut table = Table::new(vec![

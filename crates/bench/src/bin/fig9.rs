@@ -9,26 +9,26 @@
 //! `--fast` restricts the run to the sub-quadratic methods plus STOMP (LOF and
 //! DAD are the slowest methods in the paper as well); the default runs all.
 
-use s2g_bench::runner::{arg_value, scale_from_args, seed_from_args, time_method};
-use s2g_bench::Method;
+use s2g_bench::runner::{
+    arg_value, or_usage_exit, scale_from_args, seed_from_args, time_method, ALL, FAST, S2G_HALF,
+};
 use s2g_datasets::catalog::Dataset;
 use s2g_datasets::keogh::DiscordDataset;
 use s2g_datasets::mba::MbaRecord;
+use s2g_eval::detector::Detector;
 use s2g_eval::table::{fmt_seconds, Table};
 
-fn methods(args: &[String]) -> Vec<Method> {
+fn methods(args: &[String]) -> Vec<&'static dyn Detector> {
     if args.iter().any(|a| a == "--fast") {
-        Method::FAST.to_vec()
+        FAST.to_vec()
     } else {
-        Method::ALL
-            .iter()
-            .copied()
-            .filter(|m| *m != Method::S2gHalf)
+        ALL.into_iter()
+            .filter(|m| m.name() != S2G_HALF.name())
             .collect()
     }
 }
 
-fn header(methods: &[Method], first: &str) -> Vec<String> {
+fn header(methods: &[&dyn Detector], first: &str) -> Vec<String> {
     std::iter::once(first.to_string())
         .chain(methods.iter().map(|m| m.name().to_string()))
         .collect()
@@ -118,8 +118,8 @@ fn part_length(args: &[String], scale: f64, seed: u64) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = scale_from_args(&args);
-    let seed = seed_from_args(&args);
+    let scale = or_usage_exit(scale_from_args(&args));
+    let seed = or_usage_exit(seed_from_args(&args));
     let part = arg_value(&args, "--part").unwrap_or_else(|| "all".to_string());
 
     println!("Figure 9 — scalability (scale {scale})\n");

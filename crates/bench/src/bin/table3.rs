@@ -10,16 +10,16 @@
 //! the minutes range while preserving the anomaly structure.
 
 use s2g_bench::runner::{
-    evaluate, ground_truth, methods_from_args, scale_from_args, seed_from_args,
+    evaluate, ground_truth, methods_from_args, or_usage_exit, scale_from_args, seed_from_args,
 };
 use s2g_datasets::catalog::Dataset;
 use s2g_eval::table::{fmt_accuracy, Table};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = scale_from_args(&args);
-    let seed = seed_from_args(&args);
-    let methods = methods_from_args(&args);
+    let scale = or_usage_exit(scale_from_args(&args));
+    let seed = or_usage_exit(seed_from_args(&args));
+    let methods = or_usage_exit(methods_from_args(&args));
 
     println!("Table 3 — Top-k accuracy (k = number of anomalies), scale {scale}, seed {seed}\n");
 

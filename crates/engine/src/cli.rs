@@ -10,9 +10,6 @@
 //!   [`s2g_adapt::AdaptiveScorer`] instead (decayed edge
 //!   updates, drift detection, optional refits) and reports the
 //!   adaptation summary,
-//! * `s2g bench-throughput` — synthetic multi-series throughput benchmark of
-//!   the worker pool vs. a sequential loop, with per-batch latency
-//!   percentiles and optional machine-readable `--json` output,
 //! * `s2g eval` — the accuracy gauntlet: S2G (frozen and adaptive) plus all
 //!   eight baselines over the labelled scenario registry, with AUC / top-k
 //!   metrics, deterministic `--json` lines for `BENCH_ACCURACY.json`, and a
@@ -35,12 +32,14 @@ use crate::codec;
 use crate::engine::EngineConfig;
 use crate::pool::ScoreJob;
 
-/// Usage text printed by `s2g help` and on argument errors.
-pub const USAGE: &str = "\
-s2g — Series2Graph detection engine CLI
-
-USAGE:
-    s2g fit    --input <series.csv> --output <model.s2g> --pattern-length <n>
+/// Usage lines of the local (in-process) subcommands, as a string literal
+/// so front ends layering more subcommands on this CLI (the `s2g-server`
+/// crate's help) can `concat!` it into their own usage text and list each
+/// flag exactly once.
+#[macro_export]
+macro_rules! local_usage {
+    () => {
+        "    s2g fit    --input <series.csv> --output <model.s2g> --pattern-length <n>
                [--lambda <n>] [--rate <n>] [--kde-grid <n>] [--sigma-ratio <x>]
                [--seed <n>] [--no-smooth]
     s2g score  --model <model.s2g> --query-length <n> [--top-k <k>]
@@ -50,19 +49,27 @@ USAGE:
                [--normal-quantile <x>] [--drift-window <n>]
                [--drift-threshold <x>] [--refit-buffer <n>]
                [--refit-cooldown <n>] [--adapted-out <model.s2g>] <input.csv>
-    s2g bench-throughput [--workers <n>] [--series <n>] [--length <n>]
-                         [--pattern-length <n>] [--query-length <n>]
-                         [--batches <n>] [--sample-interval-ms <n>]
-                         [--journal-dir <dir>] [--deadline-ms <n>]
-                         [--skew] [--json]
     s2g eval   [--seed <n>] [--scenario <id>[,<id>...]] [--rev <tag>]
                [--fast] [--json] [--check] [--list]
-    s2g help
+"
+    };
+}
+
+/// Usage text printed by `s2g help` and on argument errors.
+pub const USAGE: &str = concat!(
+    "\
+s2g — Series2Graph detection engine CLI
+
+USAGE:
+",
+    local_usage!(),
+    "    s2g help
 
 Series files are single-column CSVs (one value per line; `#` comments and a
 header row are tolerated). Model files use the versioned `S2GMDL` binary
 format and score bit-identically to the in-process model they were saved
-from.";
+from."
+);
 
 /// CLI failure: either a usage error (exit 2) or a runtime error (exit 1).
 #[derive(Debug)]
@@ -116,7 +123,6 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
         "fit" => cmd_fit(rest),
         "score" => cmd_score(rest),
         "stream" => cmd_stream(rest),
-        "bench-throughput" => cmd_bench(rest),
         "eval" => cmd_eval(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -489,327 +495,6 @@ fn cmd_stream(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Nearest-rank percentile of already-sorted latencies, in milliseconds.
-fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn cmd_bench(args: &[String]) -> Result<(), CliError> {
-    let args = ParsedArgs::parse(
-        args,
-        &[
-            "--workers",
-            "--series",
-            "--length",
-            "--pattern-length",
-            "--query-length",
-            "--batches",
-            "--sample-interval-ms",
-            "--journal-dir",
-            "--deadline-ms",
-        ],
-        &["--json", "--skew"],
-    )?;
-    let workers = args
-        .usize_flag("--workers", Some(EngineConfig::default().workers))?
-        .max(1);
-    let n_series = args.usize_flag("--series", Some(8))?.max(1);
-    let length = args.usize_flag("--length", Some(20_000))?.max(1_000);
-    let pattern_length = args.usize_flag("--pattern-length", Some(50))?;
-    let query_length = args.usize_flag("--query-length", Some(150))?;
-    let batches = args.usize_flag("--batches", Some(9))?.max(1);
-    let journal_dir = args.get("--journal-dir").map(std::path::PathBuf::from);
-    // Journaling rides on the sampler thread; `--journal-dir` alone turns
-    // the sampler on at its densest cadence so there is traffic to write.
-    let sample_interval_ms = match args.usize_flag("--sample-interval-ms", Some(0))? as u64 {
-        0 if journal_dir.is_some() => 1,
-        ms => ms,
-    };
-    let json = args.has("--json");
-    let skew = args.has("--skew");
-    // Per-batch deadline budget: every batch is submitted under a root
-    // span whose deadline is `now + budget`, exercising the pool's
-    // expired-task skip path under real scoring load. 0 disables.
-    let deadline_ms = args.usize_flag("--deadline-ms", Some(0))? as u64;
-
-    // Deterministic synthetic fleet: phase-shifted sines with a small
-    // index-dependent wobble, so every run measures identical work. With
-    // `--skew`, series 0 is 8× the nominal length and the rest shrink to a
-    // quarter — the batch shape that defeats round-robin dispatch and that
-    // the work-stealing scheduler rebalances.
-    let series_length = |idx: usize| -> usize {
-        if !skew {
-            length
-        } else if idx == 0 {
-            length * 8
-        } else {
-            (length / 4).max(4 * query_length.max(pattern_length))
-        }
-    };
-    let make_series = |idx: usize| -> TimeSeries {
-        let phase = idx as f64 * 0.37;
-        TimeSeries::from(
-            (0..series_length(idx))
-                .map(|i| {
-                    let t = i as f64;
-                    (std::f64::consts::TAU * t / 100.0 + phase).sin()
-                        + 0.02 * ((t * 0.013 + idx as f64).sin())
-                })
-                .collect::<Vec<f64>>(),
-        )
-    };
-    let train = make_series(0);
-    let fleet: Vec<TimeSeries> = (0..n_series).map(make_series).collect();
-    let total_points: usize = fleet.iter().map(TimeSeries::len).sum();
-
-    let config = S2gConfig::new(pattern_length);
-    let model = Arc::new(Series2Graph::fit(&train, &config)?);
-
-    let t0 = Instant::now();
-    let mut sequential = Vec::with_capacity(n_series);
-    for series in &fleet {
-        sequential.push(model.anomaly_scores(series, query_length)?);
-    }
-    let seq_time = t0.elapsed();
-
-    // Run the same batch repeatedly through the pool and collect one
-    // latency sample per batch, so tail percentiles mean something.
-    let pool = crate::pool::WorkerPool::new(workers);
-    // Per-task stage instrumentation: every task's queue wait (submit →
-    // pickup) and execute time land in lock-free histograms, so the
-    // report can split scheduling latency from scoring work.
-    let obs = Arc::new(s2g_obs::Obs::new(&[], &[]));
-    pool.attach_obs(Arc::clone(&obs));
-    // Optional flight-recorder sampler riding along, mirroring `serve`'s
-    // background sampling so the bench measures recorder overhead too:
-    // one compact sample of every stage histogram per interval.
-    let recorder = (sample_interval_ms > 0).then(|| {
-        let schema = s2g_obs::recorder::SeriesSchema {
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            histograms: obs.stages().iter().map(|(n, _)| n.to_string()).collect(),
-        };
-        Arc::new(s2g_obs::recorder::Recorder::new(
-            schema,
-            sample_interval_ms,
-            4096,
-        ))
-    });
-    // Optional durable journal under the sampler: every retained sample is
-    // also streamed to segment files, so the bench doubles as the journal
-    // overhead guard (the writer sheds under pressure, never blocks).
-    let journal = match (&journal_dir, &recorder) {
-        (Some(dir), Some(recorder)) => {
-            let (journal, thread) = s2g_obs::journal::Journal::open(
-                s2g_obs::journal::JournalConfig::new(dir),
-                recorder.schema().clone(),
-            )
-            .map_err(|e| CliError::Runtime(format!("journal at {}: {e}", dir.display())))?;
-            Some((journal, thread))
-        }
-        _ => None,
-    };
-    let sampler_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let sampler = recorder.as_ref().map(|recorder| {
-        let recorder = Arc::clone(recorder);
-        let obs = Arc::clone(&obs);
-        let stop = Arc::clone(&sampler_stop);
-        let journal = journal.as_ref().map(|(journal, _)| journal.clone());
-        std::thread::spawn(move || {
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let sample = s2g_obs::recorder::Sample {
-                    t_ns: s2g_obs::clock::now_ns(),
-                    counters: Vec::new(),
-                    gauges: Vec::new(),
-                    histograms: obs
-                        .stages()
-                        .iter()
-                        .map(|(_, hist)| {
-                            s2g_obs::recorder::CompactHistogram::from_snapshot(&hist.snapshot())
-                        })
-                        .collect(),
-                };
-                if let Some(journal) = &journal {
-                    journal.publish(s2g_obs::journal::JournalEvent::sample(sample.clone()));
-                }
-                recorder.push(sample);
-                std::thread::sleep(std::time::Duration::from_millis(sample_interval_ms));
-            }
-        })
-    });
-    let mut batch_ms: Vec<f64> = Vec::with_capacity(batches);
-    let mut completed_tasks = 0u64;
-    for round in 0..batches {
-        let jobs: Vec<ScoreJob> = fleet
-            .iter()
-            .map(|series| ScoreJob {
-                model: Arc::clone(&model),
-                series: series.clone(),
-                query_length,
-            })
-            .collect();
-        // With a deadline budget, each batch runs under its own root span
-        // carrying `now + budget` — the same shape the serving layer builds
-        // from `X-S2g-Deadline-Ms` — so queued tasks that outlive the
-        // budget are skipped by the pool, not executed late.
-        let ctx = (deadline_ms > 0).then(|| {
-            let trace = s2g_obs::TraceHandle::new(s2g_obs::TraceId(round as u64 + 1));
-            let root = trace.begin("bench.batch", None);
-            let ctx = root.ctx().with_deadline(Some(
-                Instant::now() + std::time::Duration::from_millis(deadline_ms),
-            ));
-            root.finish();
-            ctx
-        });
-        let t1 = Instant::now();
-        let result = pool.score_batch(jobs, ctx.as_ref());
-        batch_ms.push(t1.elapsed().as_secs_f64() * 1e3);
-        // Determinism gate: every task that ran must match the sequential
-        // reference bit-for-bit; deadline-expired slots are skipped work
-        // (never partial work) and are excluded from the comparison.
-        for (idx, slot) in result.into_iter().enumerate() {
-            match slot {
-                Ok(scores) => {
-                    completed_tasks += 1;
-                    if scores != sequential[idx] {
-                        return Err(CliError::Runtime(
-                            "pool scores diverged from sequential scores".to_string(),
-                        ));
-                    }
-                }
-                Err(crate::Error::DeadlineExceeded) if deadline_ms > 0 => {}
-                Err(e) => return Err(CliError::from(e)),
-            }
-        }
-    }
-    sampler_stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    if let Some(handle) = sampler {
-        let _ = handle.join();
-    }
-    let sampler_samples = recorder.as_ref().map_or(0, |r| r.len());
-    let journal_stats = journal.map(|(journal, thread)| {
-        journal.close();
-        thread.join();
-        journal.stats()
-    });
-    let stats = pool.worker_stats();
-    let executed_tasks: u64 = stats.iter().map(|s| s.executed).sum();
-    let stolen_tasks: u64 = stats.iter().map(|s| s.stolen).sum();
-    let expired_tasks = pool.deadline_expired();
-    if deadline_ms == 0 && completed_tasks != (n_series * batches) as u64 {
-        return Err(CliError::Runtime(format!(
-            "pool completed {completed_tasks} of {} tasks",
-            n_series * batches
-        )));
-    }
-
-    // Histogram-derived per-task percentiles: where a batch's wall time
-    // went — waiting in a worker's queue vs executing the scoring kernel.
-    let queue_wait = obs.pool_queue_wait.snapshot();
-    let execute = obs.pool_execute.snapshot();
-    let ns_to_ms = |ns: u64| ns as f64 / 1e6;
-    let (qw_p50, qw_p95, qw_p99) = (
-        ns_to_ms(queue_wait.quantile(0.50)),
-        ns_to_ms(queue_wait.quantile(0.95)),
-        ns_to_ms(queue_wait.quantile(0.99)),
-    );
-    let (ex_p50, ex_p95, ex_p99) = (
-        ns_to_ms(execute.quantile(0.50)),
-        ns_to_ms(execute.quantile(0.95)),
-        ns_to_ms(execute.quantile(0.99)),
-    );
-
-    let mut sorted = batch_ms.clone();
-    sorted.sort_by(f64::total_cmp);
-    let (p50, p95, p99) = (
-        percentile_ms(&sorted, 0.50),
-        percentile_ms(&sorted, 0.95),
-        percentile_ms(&sorted, 0.99),
-    );
-    let median_batch_secs = p50 / 1e3;
-    let pool_pps = total_points as f64 / median_batch_secs.max(1e-9);
-    let seq_pps = total_points as f64 / seq_time.as_secs_f64().max(1e-9);
-    let speedup = seq_time.as_secs_f64() / median_batch_secs.max(1e-9);
-
-    if json {
-        // One machine-readable line for BENCH_*.json trajectories in CI.
-        // Plain format! keeps this crate JSON-free; every value is a
-        // number or literal, so the output is always valid JSON.
-        println!(
-            "{{\"bench\":\"throughput\",\"workers\":{workers},\"series\":{n_series},\
-             \"length\":{length},\"pattern_length\":{pattern_length},\
-             \"query_length\":{query_length},\"batches\":{batches},\"skew\":{skew},\
-             \"total_points\":{total_points},\
-             \"sequential_ms\":{:.3},\"sequential_points_per_sec\":{:.0},\
-             \"batch_p50_ms\":{p50:.3},\"batch_p95_ms\":{p95:.3},\"batch_p99_ms\":{p99:.3},\
-             \"pool_points_per_sec\":{pool_pps:.0},\"speedup\":{speedup:.3},\
-             \"executed_tasks\":{executed_tasks},\"stolen_tasks\":{stolen_tasks},\
-             \"deadline_ms\":{deadline_ms},\"deadline_expired_tasks\":{expired_tasks},\
-             \"completed_tasks\":{completed_tasks},\
-             \"task_queue_wait_p50_ms\":{qw_p50:.3},\"task_queue_wait_p95_ms\":{qw_p95:.3},\
-             \"task_queue_wait_p99_ms\":{qw_p99:.3},\"task_queue_wait_mean_ms\":{:.3},\
-             \"task_execute_p50_ms\":{ex_p50:.3},\"task_execute_p95_ms\":{ex_p95:.3},\
-             \"task_execute_p99_ms\":{ex_p99:.3},\"task_execute_mean_ms\":{:.3},\
-             \"sampler_interval_ms\":{sample_interval_ms},\
-             \"sampler_samples\":{sampler_samples},{}\
-             \"deterministic\":true}}",
-            seq_time.as_secs_f64() * 1e3,
-            seq_pps,
-            queue_wait.mean() / 1e6,
-            execute.mean() / 1e6,
-            journal_stats.as_ref().map_or_else(String::new, |s| {
-                format!(
-                    "\"journal_written\":{},\"journal_dropped\":{},\"journal_bytes\":{},\
-                     \"journal_segments\":{},",
-                    s.written, s.dropped, s.bytes, s.segments
-                )
-            }),
-        );
-        return Ok(());
-    }
-
-    let shape = if skew { " (skewed)" } else { "" };
-    println!(
-        "bench-throughput: {n_series} series{shape}, {total_points} points total, ℓ={pattern_length}, ℓq={query_length}, {batches} batches"
-    );
-    println!("sequential: {seq_time:.2?} ({seq_pps:>12.0} points/s)");
-    println!(
-        "pool ({workers} workers): p50 {p50:.1} ms, p95 {p95:.1} ms, p99 {p99:.1} ms per batch ({pool_pps:>12.0} points/s, {speedup:.2}x)"
-    );
-    println!("scheduler: {executed_tasks} tasks executed, {stolen_tasks} stolen");
-    if deadline_ms > 0 {
-        println!(
-            "deadlines: {expired_tasks} of {} tasks expired unrun @ {deadline_ms} ms budget ({completed_tasks} completed)",
-            n_series * batches
-        );
-    }
-    println!(
-        "per-task: queue wait p50 {qw_p50:.3} ms / p95 {qw_p95:.3} ms / p99 {qw_p99:.3} ms; \
-         execute p50 {ex_p50:.3} ms / p95 {ex_p95:.3} ms / p99 {ex_p99:.3} ms"
-    );
-    if sample_interval_ms > 0 {
-        println!(
-            "flight recorder: {sampler_samples} samples @ {sample_interval_ms} ms while benching"
-        );
-    }
-    if let Some(stats) = &journal_stats {
-        println!(
-            "journal: {} event(s) written across {} segment(s) ({} bytes), {} shed",
-            stats.written, stats.segments, stats.bytes, stats.dropped
-        );
-    }
-    if deadline_ms > 0 {
-        println!("determinism: every completed task identical to sequential ✓ (expired slots skipped unrun)");
-    } else {
-        println!("determinism: pool output identical to sequential across all batches ✓");
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // eval
 // ---------------------------------------------------------------------------
@@ -923,10 +608,12 @@ mod tests {
 
     #[test]
     fn unknown_subcommand_and_flags_are_usage_errors() {
-        assert!(matches!(
-            dispatch(&strs(&["frobnicate"])),
-            Err(CliError::Usage(_))
-        ));
+        for unknown in ["frobnicate", "bench-throughput"] {
+            assert!(matches!(
+                dispatch(&strs(&[unknown])),
+                Err(CliError::Usage(_))
+            ));
+        }
         assert!(matches!(dispatch(&strs(&[])), Err(CliError::Usage(_))));
         assert!(matches!(
             dispatch(&strs(&["fit", "--bogus", "1"])),
@@ -1049,45 +736,6 @@ mod tests {
             "b.csv",
         ]));
         assert!(matches!(err, Err(CliError::Usage(_))));
-    }
-
-    #[test]
-    fn bench_throughput_smoke() {
-        dispatch(&strs(&[
-            "bench-throughput",
-            "--workers",
-            "2",
-            "--series",
-            "3",
-            "--length",
-            "3000",
-            "--pattern-length",
-            "40",
-            "--query-length",
-            "120",
-            "--batches",
-            "3",
-        ]))
-        .unwrap();
-        // The machine-readable variant must run too (stdout is asserted by
-        // the cross-process CLI test).
-        dispatch(&strs(&[
-            "bench-throughput",
-            "--workers",
-            "2",
-            "--series",
-            "2",
-            "--length",
-            "2000",
-            "--pattern-length",
-            "40",
-            "--query-length",
-            "120",
-            "--batches",
-            "2",
-            "--json",
-        ]))
-        .unwrap();
     }
 
     #[test]

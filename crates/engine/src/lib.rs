@@ -18,8 +18,8 @@
 //!   per-session [`s2g_core::StreamingScorer`] state for incremental
 //!   ingestion; batch results are reassembled in submission order, making
 //!   parallel output identical to sequential output;
-//! * [`cli`] — the `s2g` binary (`fit`, `score`, `stream`,
-//!   `bench-throughput`) driving all of the above over CSV files.
+//! * [`cli`] — the `s2g` binary (`fit`, `score`, `stream`, `eval`)
+//!   driving all of the above over CSV files.
 //!
 //! [`Engine`] ties the registry and the pool together into one long-lived,
 //! thread-safe object.

@@ -1,7 +1,7 @@
 //! The full `s2g` command-line interface: serving and remote-client
 //! subcommands from this crate, layered over the local subcommands
-//! (`fit`, `score`, `stream`, `bench-throughput`) from
-//! [`s2g_engine::cli`].
+//! (`fit`, `score`, `stream`, `eval`) from [`s2g_engine::cli`], whose
+//! usage lines ([`s2g_engine::local_usage!`]) this crate's help reuses.
 //!
 //! * `s2g serve` — run the detection server on a TCP address (with
 //!   `--data-dir` for restart-durable model persistence),
@@ -29,25 +29,14 @@ use crate::server::{Server, ServerConfig};
 
 /// Usage text printed by `s2g help` and on argument errors. Extends the
 /// engine CLI's usage with the serving subcommands.
-pub const USAGE: &str = "\
+pub const USAGE: &str = concat!(
+    "\
 s2g — Series2Graph detection engine CLI
 
 USAGE — local (in-process):
-    s2g fit    --input <series.csv> --output <model.s2g> --pattern-length <n>
-               [--lambda <n>] [--rate <n>] [--kde-grid <n>] [--sigma-ratio <x>]
-               [--seed <n>] [--no-smooth]
-    s2g score  --model <model.s2g> --query-length <n> [--top-k <k>]
-               [--scores-out <csv>] [--workers <n>] <input.csv> [<input.csv>...]
-    s2g stream --model <model.s2g> --query-length <n> [--chunk <n>]
-               [--top-k <n>] [--adapt] [--adapt-lambda <x>]
-               [--normal-quantile <x>] [--drift-window <n>]
-               [--drift-threshold <x>] [--refit-buffer <n>]
-               [--refit-cooldown <n>] [--adapted-out <model.s2g>] <input.csv>
-    s2g bench-throughput [--workers <n>] [--series <n>] [--length <n>]
-                         [--pattern-length <n>] [--query-length <n>]
-                         [--batches <n>] [--journal-dir <dir>]
-                         [--deadline-ms <n>] [--json]
-
+",
+    s2g_engine::local_usage!(),
+    "
 USAGE — serving (over TCP, protocol in docs/PROTOCOL.md):
     s2g serve  [--addr <host:port>] [--workers <n>] [--registry-capacity <n>]
                [--max-clients <n>] [--max-body-bytes <n>]
@@ -103,7 +92,8 @@ Series files are single-column CSVs (one value per line; `#` comments and a
 header row are tolerated). Model files use the versioned `S2GMDL` binary
 format. A model fitted over the wire scores bit-identically to the same fit
 done in-process. With `serve --data-dir`, fitted models persist across
-restarts: fit once, restart freely, keep scoring.";
+restarts: fit once, restart freely, keep scoring."
+);
 
 /// Entry point used by the `s2g` binary: runs and maps errors to exit codes
 /// (0 success, 1 runtime failure, 2 usage error).

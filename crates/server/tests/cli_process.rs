@@ -367,7 +367,16 @@ fn usage_errors_exit_with_code_two() {
 
     let help = Command::new(s2g).args(["help"]).output().unwrap();
     assert!(help.status.success());
-    assert!(String::from_utf8_lossy(&help.stdout).contains("bench-throughput"));
+    let help = String::from_utf8_lossy(&help.stdout);
+    assert!(
+        help.contains("\n    s2g fit "),
+        "local usage lines stay indented"
+    );
+    assert!(
+        help.contains("s2g eval"),
+        "help lists the local eval subcommand"
+    );
+    assert!(!help.contains("bench-throughput"));
 }
 
 /// One raw HTTP/1.1 request over a fresh connection; returns the full

@@ -53,7 +53,7 @@
 //! score; a sharded worker pool ([`engine::WorkerPool`]) fanning batched
 //! fit/score jobs and pinned streaming sessions across threads with
 //! deterministic, submission-ordered results; and the `s2g` binary exposing
-//! `fit`, `score`, `stream`, `bench-throughput` and `eval` over CSV files:
+//! `fit`, `score`, `stream` and `eval` over CSV files:
 //!
 //! ```bash
 //! s2g fit   --input traffic.csv --output traffic.s2g --pattern-length 50

@@ -21,16 +21,23 @@ fn series(n: usize, period: f64, phase: f64) -> TimeSeries {
     )
 }
 
+/// Four short probes plus one 8× longer one: the skewed batch shape that
+/// makes the pool's idle worker steal the short tasks queued behind it.
 fn probes() -> Vec<TimeSeries> {
     (0..4)
         .map(|k| series(900 + 41 * k, 64.0, 0.17 * k as f64))
+        .chain(std::iter::once(series(7200, 64.0, 0.7)))
         .collect()
 }
 
 fn assert_bits_eq(traced: &[f64], bare: &[f64], what: &str) {
     assert_eq!(traced.len(), bare.len(), "{what}: length");
     for (t, b) in traced.iter().zip(bare) {
-        assert_eq!(t.to_bits(), b.to_bits(), "{what}: traced must match bare");
+        assert_eq!(
+            t.to_bits(),
+            b.to_bits(),
+            "{what}: results must be bit-identical"
+        );
     }
 }
 
@@ -38,7 +45,11 @@ fn assert_windows_eq(traced: &[(usize, f64)], bare: &[(usize, f64)], what: &str)
     assert_eq!(traced.len(), bare.len(), "{what}: length");
     for ((ts, tv), (bs, bv)) in traced.iter().zip(bare) {
         assert_eq!(ts, bs, "{what}: window start");
-        assert_eq!(tv.to_bits(), bv.to_bits(), "{what}: traced must match bare");
+        assert_eq!(
+            tv.to_bits(),
+            bv.to_bits(),
+            "{what}: results must be bit-identical"
+        );
     }
 }
 
@@ -158,6 +169,16 @@ fn pool_operations_are_bit_identical_with_and_without_a_span() {
     let bare = WorkerPool::new(2);
     let bare_fits = bare.fit_batch(fits(), None);
     let bare_scores = bare.score_batch(score_jobs(&model), None);
+    // The pool itself must be invisible: each slot equals the sequential
+    // scoring of its series.
+    assert_eq!(bare_scores.len(), probes().len());
+    for (pooled, series) in bare_scores.iter().zip(probes()) {
+        assert_bits_eq(
+            pooled.as_ref().unwrap(),
+            &model.anomaly_scores(&series, 150).unwrap(),
+            "pool score_batch vs sequential anomaly_scores",
+        );
+    }
     bare.open_stream("s", Arc::clone(&model), 150).unwrap();
     let bare_push = bare.push_stream("s", &stream, None).unwrap();
 
