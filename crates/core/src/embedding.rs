@@ -95,8 +95,8 @@ impl Embedding {
         }
         let ref_point = vec![(max_v - min_v) * lambda as f64; dim];
         let zero_point = vec![0.0; dim];
-        let ref_proj = pca.transform_row(&ref_point)?;
-        let zero_proj = pca.transform_row(&zero_point)?;
+        let ref_proj = pca.transform3(&ref_point)?;
+        let zero_proj = pca.transform3(&zero_point)?;
         let v_ref = Vec3::from_slice(&ref_proj) - Vec3::from_slice(&zero_proj);
         if v_ref.norm() < 1e-12 {
             return Err(Error::DegenerateEmbedding(
@@ -111,9 +111,7 @@ impl Embedding {
         // bit-identical to the matrix-backed fit.
         let mut points = Vec::with_capacity(n_points);
         for i in 0..n_points {
-            let reduced = pca.transform_row(&conv[i..i + dim])?;
-            let rotated = rotation.apply(Vec3::from_slice(&reduced));
-            points.push(Vec2::new(rotated.y, rotated.z));
+            points.push(embed_row(&pca, &rotation, &conv[i..i + dim])?);
         }
 
         Ok(Self {
@@ -189,11 +187,20 @@ impl Embedding {
         let n_points = series.len() - ell + 1;
         let mut out = Vec::with_capacity(n_points);
         for i in 0..n_points {
-            let reduced = self.pca.transform_row(&conv[i..i + dim])?;
-            let rotated = self.rotation.apply(Vec3::from_slice(&reduced));
-            out.push(Vec2::new(rotated.y, rotated.z));
+            out.push(embed_row(&self.pca, &self.rotation, &conv[i..i + dim])?);
         }
         Ok(out)
+    }
+
+    /// Projects the single subsequence `window` (exactly ℓ points) without
+    /// allocating: its rolling sums go into the caller's reused `conv`
+    /// buffer. Bit-identical to the last point of
+    /// [`Embedding::project_slice`] on the same window.
+    pub(crate) fn project_window(&self, window: &[f64], conv: &mut Vec<f64>) -> Result<Vec2> {
+        debug_assert_eq!(window.len(), self.pattern_length);
+        stats::rolling_sum_into(window, self.lambda, conv);
+        let dim = self.pattern_length - self.lambda;
+        embed_row(&self.pca, &self.rotation, &conv[..dim])
     }
 
     /// Projects a single subsequence (given as a slice of length ≥ ℓ),
@@ -201,6 +208,19 @@ impl Embedding {
     pub fn project_slice(&self, values: &[f64]) -> Result<Vec<Vec2>> {
         self.project(&TimeSeries::from(values))
     }
+}
+
+/// The rotated `(y, z)` point of one row of `Proj(T, ℓ, λ)`: the fused
+/// three-component projection, then rows 1 and 2 of the rotation. Every
+/// operation runs in the order of `Pca::transform_row` followed by
+/// `Rotation3::apply`, so the point is bit-identical to theirs.
+fn embed_row(pca: &Pca, rotation: &Rotation3, row: &[f64]) -> Result<Vec2> {
+    let [x, y, z] = pca.transform3(row)?;
+    let m = rotation.rows();
+    Ok(Vec2::new(
+        m[1][0] * x + m[1][1] * y + m[1][2] * z,
+        m[2][0] * x + m[2][1] * y + m[2][2] * z,
+    ))
 }
 
 #[cfg(test)]

@@ -237,19 +237,6 @@ impl Series2Graph {
         Ok(scoring::anomaly_profile(&normality))
     }
 
-    /// Normality score of a single standalone subsequence (of length ≥ ℓ),
-    /// e.g. a window coming from a different stream.
-    pub fn score_subsequence(&self, values: &[f64]) -> Result<f64> {
-        self.check_query_length(values.len())?;
-        let points = self.embedding.project_slice(values)?;
-        let transitions = EdgeExtraction::map_transitions(&points, &self.nodes);
-        Ok(scoring::path_normality(
-            &self.graph,
-            &transitions,
-            values.len(),
-        ))
-    }
-
     /// Returns the start offsets of the `k` most anomalous, mutually
     /// non-overlapping subsequences according to an anomaly-score profile
     /// (as produced by [`Series2Graph::anomaly_scores`]).
@@ -403,21 +390,6 @@ mod tests {
             "unseen anomaly found at {}",
             top[0]
         );
-    }
-
-    #[test]
-    fn score_subsequence_ranks_anomalous_window_lower() {
-        let series = series_with_anomalies(8000, &[4000], 200);
-        let model = Series2Graph::fit(&series, &S2gConfig::new(50)).unwrap();
-        let normal_window = series.subsequence(1000, 200).unwrap();
-        let anomalous_window = series.subsequence(4000, 200).unwrap();
-        let n = model.score_subsequence(normal_window).unwrap();
-        let a = model.score_subsequence(anomalous_window).unwrap();
-        assert!(
-            n > a,
-            "normal window normality {n} should exceed anomalous {a}"
-        );
-        assert!(model.score_subsequence(&normal_window[..10]).is_err());
     }
 
     #[test]

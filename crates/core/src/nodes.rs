@@ -80,6 +80,13 @@ pub struct NodeSet {
     /// Global id of the first node of each ray.
     offsets: Vec<usize>,
     total: usize,
+    /// Unit vector of each ray, `Vec2::from_angle(ray · 2π/rate)`: derived
+    /// from `rate`, never persisted.
+    units: Vec<Vec2>,
+    /// For each angularly closest ray, the populated ray the outward search
+    /// of [`NodeSet::assign`] ends on (`0` when no ray has nodes): derived
+    /// from `radii`, never persisted.
+    resolved: Vec<usize>,
 }
 
 impl NodeSet {
@@ -112,19 +119,7 @@ impl NodeSet {
             }
             radii.push(extract_ray_nodes(&set, config));
         }
-
-        let mut offsets = Vec::with_capacity(rate);
-        let mut total = 0usize;
-        for r in &radii {
-            offsets.push(total);
-            total += r.len();
-        }
-        Ok(Self {
-            rate,
-            radii,
-            offsets,
-            total,
-        })
+        Ok(Self::from_sorted(radii))
     }
 
     /// Reassembles a node set from the per-ray node radii, as produced by
@@ -144,18 +139,42 @@ impl NodeSet {
         for ray in &mut radii {
             ray.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         }
+        Ok(Self::from_sorted(radii))
+    }
+
+    /// Builds the node set from one sorted radius list per ray, together
+    /// with everything derived from it: node id offsets, the ray unit
+    /// vectors and the resolved-ray table [`NodeSet::assign`] reads.
+    fn from_sorted(radii: Vec<Vec<f64>>) -> Self {
+        let rate = radii.len();
         let mut offsets = Vec::with_capacity(rate);
         let mut total = 0usize;
         for r in &radii {
             offsets.push(total);
             total += r.len();
         }
-        Ok(Self {
+        let step = std::f64::consts::TAU / rate as f64;
+        let units = (0..rate)
+            .map(|ray| Vec2::from_angle(ray as f64 * step))
+            .collect();
+        // Search outward from each ray, alternating sides, until a ray has
+        // nodes: the first populated ray found is the one `assign` uses.
+        let resolved = (0..rate)
+            .map(|base| {
+                (0..=rate / 2)
+                    .flat_map(|offset| [(base + offset) % rate, (base + rate - offset) % rate])
+                    .find(|&ray| !radii[ray].is_empty())
+                    .unwrap_or(0)
+            })
+            .collect();
+        Self {
             rate,
             radii,
             offsets,
             total,
-        })
+            units,
+            resolved,
+        }
     }
 
     /// Number of rays.
@@ -210,24 +229,10 @@ impl NodeSet {
         if self.total == 0 {
             return None;
         }
-        let tau = std::f64::consts::TAU;
-        let step = tau / self.rate as f64;
+        let step = std::f64::consts::TAU / self.rate as f64;
         let base_ray = ((point.angle() / step).round() as usize) % self.rate;
-        // Search outward from the angularly closest ray until one has nodes.
-        for offset in 0..=(self.rate / 2) {
-            for &ray in &[
-                (base_ray + offset) % self.rate,
-                (base_ray + self.rate - offset % self.rate) % self.rate,
-            ] {
-                if self.radii[ray].is_empty() {
-                    continue;
-                }
-                let psi = ray as f64 * step;
-                let radius = point.dot(&Vec2::from_angle(psi));
-                return self.nearest_node(ray, radius);
-            }
-        }
-        None
+        let ray = self.resolved[base_ray];
+        self.nearest_node(ray, point.dot(&self.units[ray]))
     }
 
     /// Returns `(ray, radius)` for every node, ordered by global node id.

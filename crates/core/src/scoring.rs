@@ -104,20 +104,6 @@ pub fn anomaly_profile(normality: &[f64]) -> Vec<f64> {
     normality.iter().map(|&s| (max - s) / range).collect()
 }
 
-/// Normality of a single path expressed as explicit transitions (Definition 9):
-/// used when scoring subsequences that are not part of the training series.
-pub fn path_normality(graph: &DiGraph, transitions: &[(usize, usize)], query_length: usize) -> f64 {
-    if query_length == 0 {
-        return 0.0;
-    }
-    let csr = graph.csr();
-    let total: f64 = transitions
-        .iter()
-        .map(|&(from, to)| csr.contribution(from, to))
-        .sum();
-    total / query_length as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,7 +139,6 @@ mod tests {
         let transitions = vec![(3, 2)]; // edge does not exist
         let contributions = gap_contributions(&g, &transitions);
         assert_eq!(contributions[0], 0.0);
-        assert_eq!(path_normality(&g, &[(3, 2), (2, 1)], 10), 0.0);
     }
 
     #[test]
@@ -211,17 +196,5 @@ mod tests {
             v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / v.len() as f64
         };
         assert!(var(&smoothed) < var(&scores));
-    }
-
-    #[test]
-    fn path_normality_matches_manual_computation() {
-        let g = toy_graph();
-        // Path 0 -> 1 -> 0 with ℓq = 20: (w(0,1)*(deg0-1) + w(1,0)*(deg1-1)) / 20.
-        let deg0 = g.degree(0) as f64;
-        let deg1 = g.degree(1) as f64;
-        let expected = (10.0 * (deg0 - 1.0) + 10.0 * (deg1 - 1.0)) / 20.0;
-        let got = path_normality(&g, &[(0, 1), (1, 0)], 20);
-        assert!((got - expected).abs() < 1e-12);
-        assert_eq!(path_normality(&g, &[(0, 1)], 0), 0.0);
     }
 }

@@ -4,10 +4,10 @@
 //! the natural building block for it: a [`StreamingScorer`] that owns a
 //! fitted [`Series2Graph`] model and consumes points one at a time (or in
 //! batches), emitting the normality score of every completed window of the
-//! configured query length. Internally it keeps only the last
-//! `ℓ_q + ℓ` points, so memory is constant regardless of how long the stream
-//! runs, and each appended point costs one embedding projection plus one node
-//! assignment.
+//! configured query length. Internally it keeps at most `2ℓ` raw points and
+//! the last `ℓq − ℓ` gap contributions, so memory is constant regardless
+//! of how long the stream runs, and each appended point costs `O(ℓ)`: one
+//! window's rolling sums, one projection and one node assignment.
 
 use std::collections::VecDeque;
 
@@ -20,10 +20,20 @@ use crate::scoring;
 pub struct StreamingScorer {
     model: Series2Graph,
     query_length: usize,
-    /// Rolling buffer of the most recent raw points (bounded).
-    buffer: VecDeque<f64>,
+    /// The most recent raw points: the newest ℓ are its tail. Holds at most
+    /// 2ℓ points; the oldest ℓ are dropped when it is full, so each push
+    /// moves O(1) points on average.
+    buffer: Vec<f64>,
+    /// Rolling sums of the newest window, reused by every push.
+    conv: Vec<f64>,
     /// Rolling buffer of per-gap normality contributions (bounded).
     contributions: VecDeque<f64>,
+    /// Exact sum of the `contributions` entries that are non-negative
+    /// integers below 2⁵³ (see [`is_count`]); 128 bits cannot overflow
+    /// whatever the window length.
+    count_sum: u128,
+    /// Number of `contributions` entries that are not such integers.
+    non_counts: usize,
     /// Node assigned to the most recent embedded point, if any.
     last_node: Option<usize>,
     /// The graph transition completed by the most recent push, when both of
@@ -52,10 +62,13 @@ impl StreamingScorer {
             });
         }
         Ok(Self {
+            buffer: Vec::with_capacity(2 * model.pattern_length()),
             model,
             query_length,
-            buffer: VecDeque::new(),
+            conv: Vec::new(),
             contributions: VecDeque::new(),
+            count_sum: 0,
+            non_counts: 0,
             last_node: None,
             last_transition: None,
             embedded_any: false,
@@ -124,51 +137,53 @@ impl StreamingScorer {
     /// `consumed − query_length`).
     pub fn push(&mut self, value: f64) -> Result<Option<(usize, f64)>> {
         let ell = self.model.pattern_length();
-        self.buffer.push_back(value);
-        self.consumed += 1;
-        // Keep just enough raw history to embed the newest pattern.
-        while self.buffer.len() > self.query_length.max(ell) + ell {
-            self.buffer.pop_front();
+        if self.buffer.len() == 2 * ell {
+            // Keep just enough raw history to embed the newest pattern.
+            self.buffer.drain(..ell);
         }
+        self.buffer.push(value);
+        self.consumed += 1;
 
         // Embed the newest pattern (the last ℓ points) once available.
         if self.buffer.len() >= ell {
-            let window: Vec<f64> = self.buffer.iter().rev().take(ell).rev().copied().collect();
-            // Project the single newest subsequence with the fitted embedding.
-            let points = self.model.embedding().project_slice(&window)?;
-            let newest = points.last().copied();
-            if let Some(point) = newest {
-                let node = self.model.node_set().assign(point);
-                if self.embedded_any {
-                    // A trajectory gap completes on *every* embedded point
-                    // after the first, so the deque stays aligned with window
-                    // positions: exactly one entry per gap. A transition with
-                    // an unassignable endpoint contributes zero, mirroring how
-                    // offline scoring treats unseen transitions.
-                    let contribution = match (self.last_node, node) {
-                        (Some(prev), Some(current)) => {
-                            self.last_transition = Some((prev, current));
-                            // The CSR snapshot is cached on the graph; after
-                            // an adaptation reweight the cache is dropped and
-                            // this rebuilds it, so reads never see stale
-                            // weights.
-                            self.model.graph().csr().contribution(prev, current)
-                        }
-                        _ => {
-                            self.last_transition = None;
-                            0.0
-                        }
-                    };
-                    self.contributions.push_back(contribution);
-                    let max_gaps = Self::gaps_per_window(self.query_length, ell);
-                    while self.contributions.len() > max_gaps {
-                        self.contributions.pop_front();
+            let window = &self.buffer[self.buffer.len() - ell..];
+            let point = self
+                .model
+                .embedding()
+                .project_window(window, &mut self.conv)?;
+            let node = self.model.node_set().assign(point);
+            if self.embedded_any {
+                // A trajectory gap completes on *every* embedded point
+                // after the first, so the deque stays aligned with window
+                // positions: exactly one entry per gap. A transition with
+                // an unassignable endpoint contributes zero, mirroring how
+                // offline scoring treats unseen transitions.
+                let contribution = match (self.last_node, node) {
+                    (Some(prev), Some(current)) => {
+                        self.last_transition = Some((prev, current));
+                        // The CSR snapshot is cached on the graph; after
+                        // an adaptation reweight the cache is dropped and
+                        // this rebuilds it, so reads never see stale
+                        // weights.
+                        self.model.graph().csr().contribution(prev, current)
+                    }
+                    _ => {
+                        self.last_transition = None;
+                        0.0
+                    }
+                };
+                self.track(contribution, true);
+                self.contributions.push_back(contribution);
+                let max_gaps = Self::gaps_per_window(self.query_length, ell);
+                while self.contributions.len() > max_gaps {
+                    if let Some(old) = self.contributions.pop_front() {
+                        self.track(old, false);
                     }
                 }
-                self.embedded_any = true;
-                if node.is_some() {
-                    self.last_node = node;
-                }
+            }
+            self.embedded_any = true;
+            if node.is_some() {
+                self.last_node = node;
             }
         }
 
@@ -177,7 +192,7 @@ impl StreamingScorer {
         }
         let start = self.consumed - self.query_length;
         let gaps_needed = Self::gaps_per_window(self.query_length, ell);
-        let total: f64 = self.contributions.iter().sum();
+        let total = self.window_sum();
         if self.contributions.len() < gaps_needed {
             // Partial window: only possible while the stream is still warming
             // up (e.g. the zero-gap first window when ℓq = ℓ) — once warm the
@@ -192,6 +207,31 @@ impl StreamingScorer {
             return Ok(Some((start, total / effective as f64)));
         }
         Ok(Some((start, total / self.query_length as f64)))
+    }
+
+    /// Adds (`entering`) or removes one contribution from the running
+    /// integer sum, or from the count of entries outside it.
+    fn track(&mut self, contribution: f64, entering: bool) {
+        match (is_count(contribution), entering) {
+            (true, true) => self.count_sum += contribution as u128,
+            (true, false) => self.count_sum -= contribution as u128,
+            (false, true) => self.non_counts += 1,
+            (false, false) => self.non_counts -= 1,
+        }
+    }
+
+    /// The in-order sum of the contribution deque. Non-negative integers
+    /// below 2⁵³ sum exactly in any order, so while every entry is one and
+    /// their total stays below 2⁵³, the running integer sum *is* the
+    /// in-order `f64` sum — the case for fitted and decoded models, whose
+    /// weights are counts. Otherwise (adapted weights) the deque is
+    /// re-summed in order.
+    fn window_sum(&self) -> f64 {
+        if self.non_counts == 0 && self.count_sum < EXACT_LIMIT {
+            self.count_sum as f64
+        } else {
+            self.contributions.iter().sum()
+        }
     }
 
     /// Number of gap contributions a complete window of `query_length` spans
@@ -233,6 +273,15 @@ impl StreamingScorer {
             .zip(anomaly)
             .collect()
     }
+}
+
+/// 2⁵³: every integer below it is exactly representable as an `f64`.
+const EXACT_LIMIT: u128 = 1 << 53;
+
+/// `true` for a non-negative integer below 2⁵³ (`-0.0` excluded: an
+/// in-order sum of `-0.0` entries keeps the sign, an integer sum does not).
+fn is_count(c: f64) -> bool {
+    c.is_sign_positive() && c < EXACT_LIMIT as f64 && c.fract() == 0.0
 }
 
 #[cfg(test)]

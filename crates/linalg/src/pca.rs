@@ -304,6 +304,35 @@ impl Pca {
         Ok(out)
     }
 
+    /// Projects a single row onto exactly three components without
+    /// allocating: one pass over the row-major `d × 3` components with three
+    /// accumulators. Each accumulator runs the operations of
+    /// [`Pca::transform_row`] in the same order, so the result is
+    /// bit-identical to it.
+    ///
+    /// # Errors
+    /// [`Error::ShapeMismatch`] when `x.len()` differs from the fitted
+    /// dimensionality or the PCA does not keep exactly three components.
+    pub fn transform3(&self, x: &[f64]) -> Result<[f64; 3]> {
+        let (d, k) = self.components.shape();
+        if x.len() != d || k != 3 {
+            return Err(Error::ShapeMismatch {
+                op: "pca_transform3",
+                left: (1, x.len()),
+                right: (d, k),
+            });
+        }
+        let mut acc = [0.0; 3];
+        let rows = self.components.as_slice().chunks_exact(3);
+        for ((xi, mi), c) in x.iter().zip(&self.mean).zip(rows) {
+            let centred = xi - mi;
+            acc[0] += centred * c[0];
+            acc[1] += centred * c[1];
+            acc[2] += centred * c[2];
+        }
+        Ok(acc)
+    }
+
     /// Projects every row of `data` into the component space, returning an
     /// `n × k` matrix.
     pub fn transform(&self, data: &DMatrix) -> Result<DMatrix> {
@@ -405,6 +434,21 @@ mod tests {
                 assert!((v - all.get(r, c)).abs() < 1e-9);
             }
         }
+    }
+
+    #[test]
+    fn transform3_is_bit_identical_to_transform_row() {
+        let data = planar_data(100);
+        let pca = Pca::fit(&data, 3).unwrap();
+        for r in 0..data.nrows() {
+            let naive = pca.transform_row(data.row(r)).unwrap();
+            let fused = pca.transform3(data.row(r)).unwrap();
+            for (a, b) in naive.iter().zip(fused) {
+                assert_eq!(a.to_bits(), b.to_bits(), "row {r}");
+            }
+        }
+        assert!(pca.transform3(&[1.0, 2.0]).is_err());
+        assert!(Pca::fit(&data, 2).unwrap().transform3(data.row(0)).is_err());
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //! shortest round-trip formatting, so the `f64`s this client returns are
 //! **bit-identical** to the ones the server computed.
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::json::{Json, JsonError};
+use crate::json::{self, Json, JsonError};
 
 /// Errors produced by the client.
 #[derive(Debug)]
@@ -565,8 +566,12 @@ impl Client {
                 // wrong series. Refuse it up front instead.
                 return Err(ClientError::Protocol(format!("series {index} is empty")));
             }
-            let line: Vec<String> = values.iter().map(f64::to_string).collect();
-            body.push_str(&line.join(","));
+            for (i, v) in values.iter().enumerate() {
+                if i > 0 {
+                    body.push(',');
+                }
+                let _ = write!(body, "{v}");
+            }
             body.push('\n');
         }
         let target = format!("/models/{name}/score?query_length={query_length}");
@@ -578,26 +583,9 @@ impl Client {
                 response.lines.len()
             )));
         }
-        let mut out = Vec::with_capacity(series.len());
-        for index in 0..response.lines.len() {
-            let line = response.json_line(index)?;
-            if let Some(scores) = line.get("scores").and_then(Json::as_f64_array) {
-                out.push(Ok(scores));
-            } else {
-                let code = line
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown")
-                    .to_string();
-                let message = line
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string();
-                out.push(Err((code, message)));
-            }
-        }
-        Ok(out)
+        (0..response.lines.len())
+            .map(|index| score_result(&response, index))
+            .collect()
     }
 
     /// `POST /sessions`: opens a pinned streaming session, returning its id.
@@ -663,28 +651,17 @@ impl Client {
         id: &str,
         values: &[f64],
     ) -> Result<(Vec<(usize, f64)>, Option<Json>), ClientError> {
-        let body: String = values.iter().map(|v| format!("{v}\n")).collect();
+        let mut body = String::new();
+        for v in values {
+            let _ = writeln!(body, "{v}");
+        }
         let target = format!("/sessions/{id}/push");
         let response = self.request_ok("POST", &target, body.as_bytes())?;
-        let line = response.json_line(0)?;
-        let emitted = line
-            .get("emitted")
-            .and_then(Json::as_array)
-            .ok_or_else(|| ClientError::Protocol("response lacks \"emitted\" array".into()))?;
-        let pairs = emitted
-            .iter()
-            .map(|pair| {
-                let items = pair.as_array().unwrap_or(&[]);
-                match (
-                    items.first().and_then(Json::as_usize),
-                    items.get(1).and_then(Json::as_f64),
-                ) {
-                    (Some(start), Some(normality)) => Ok((start, normality)),
-                    _ => Err(ClientError::Protocol("malformed emitted pair".into())),
-                }
-            })
-            .collect::<Result<Vec<(usize, f64)>, ClientError>>()?;
-        Ok((pairs, line.get("adapt").cloned()))
+        response
+            .lines
+            .first()
+            .and_then(|line| json::decode_push_reply(line))
+            .ok_or_else(|| ClientError::Protocol("malformed push reply".into()))
     }
 
     /// `DELETE /sessions/{id}`: closes a session, returning how many points
@@ -870,6 +847,30 @@ fn assemble_response(head: &str, body: &[u8]) -> Result<ClientResponse, ClientEr
     })
 }
 
+/// Decodes result line `index` of a score response: the series' scores, or
+/// the `(code, message)` of an error line. Only an error line is parsed
+/// into a [`Json`] tree.
+#[allow(clippy::type_complexity)]
+fn score_result(
+    response: &ClientResponse,
+    index: usize,
+) -> Result<Result<Vec<f64>, (String, String)>, ClientError> {
+    if let Some(scores) = response
+        .lines
+        .get(index)
+        .and_then(|l| json::decode_score_line(l))
+    {
+        return Ok(Ok(scores));
+    }
+    let line = response.json_line(index)?;
+    let code = line
+        .get("error")
+        .and_then(Json::as_str)
+        .ok_or_else(|| ClientError::Protocol(format!("malformed score result line {index}")))?;
+    let message = line.get("message").and_then(Json::as_str).unwrap_or("");
+    Ok(Err((code.to_string(), message.to_string())))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -896,6 +897,34 @@ mod tests {
             response.into_result(),
             Err(ClientError::Api { status: 404, .. })
         ));
+    }
+
+    #[test]
+    fn score_results_decode_scores_and_error_lines() {
+        let response = ClientResponse {
+            status: 200,
+            retry_after: None,
+            lines: vec![
+                r#"{"index":0,"scores":[-0,5e-324,1.5]}"#.to_string(),
+                r#"{"index":1,"error":"series_too_short","message":"too short"}"#.to_string(),
+                r#"{"index":2}"#.to_string(),
+                r#"{"index":3,"scores":[NaN]}"#.to_string(),
+            ],
+        };
+        let scores = score_result(&response, 0).unwrap().unwrap();
+        let bits: Vec<u64> = scores.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, [(-0.0f64).to_bits(), 1, 1.5f64.to_bits()]);
+        assert_eq!(
+            score_result(&response, 1).unwrap(),
+            Err(("series_too_short".to_string(), "too short".to_string()))
+        );
+        // Neither a score line nor an error line; and not JSON at all.
+        for index in [2, 3, 4] {
+            assert!(matches!(
+                score_result(&response, index),
+                Err(ClientError::Protocol(_))
+            ));
+        }
     }
 
     #[test]

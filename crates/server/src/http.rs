@@ -382,9 +382,12 @@ impl Response {
     /// # Errors
     /// Propagates socket write failures.
     pub fn write_to_conn<W: Write>(&self, mut w: W, keep_alive: bool) -> std::io::Result<()> {
-        let body = self.lines.join("\n");
+        // The body is the lines joined with `\n`, plus a final `\n` when
+        // that join is not empty; it is copied once, straight after the head.
+        let joined_len =
+            self.lines.iter().map(String::len).sum::<usize>() + self.lines.len().saturating_sub(1);
         let connection = if keep_alive { "keep-alive" } else { "close" };
-        let body_len = if body.is_empty() { 0 } else { body.len() + 1 };
+        let body_len = if joined_len == 0 { 0 } else { joined_len + 1 };
         let trace_header = match &self.trace_id {
             Some(id) => format!("X-S2g-Trace: {id}\r\n"),
             None => String::new(),
@@ -406,8 +409,14 @@ impl Response {
             body_len,
         )
         .into_bytes();
-        wire.extend_from_slice(body.as_bytes());
-        if !body.is_empty() {
+        wire.reserve_exact(body_len);
+        for (i, line) in self.lines.iter().enumerate() {
+            if i > 0 {
+                wire.push(b'\n');
+            }
+            wire.extend_from_slice(line.as_bytes());
+        }
+        if body_len > 0 {
             wire.push(b'\n');
         }
         w.write_all(&wire)?;
@@ -477,6 +486,26 @@ mod tests {
             .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"));
+    }
+
+    #[test]
+    fn response_body_is_the_newline_joined_lines() {
+        for lines in [&[][..], &[""], &["", ""], &["a"], &["{\"a\":1}", "", "b"]] {
+            let mut out = Vec::new();
+            Response::ok(lines.iter().map(|l| l.to_string()).collect())
+                .write_to_conn(&mut out, false)
+                .unwrap();
+            let text = String::from_utf8(out).unwrap();
+            let (head, body) = text.split_once("\r\n\r\n").unwrap();
+            let joined = lines.join("\n");
+            let expected = if joined.is_empty() {
+                joined
+            } else {
+                joined + "\n"
+            };
+            assert_eq!(body, expected, "{lines:?}");
+            assert!(head.contains(&format!("Content-Length: {}\r\n", expected.len())));
+        }
     }
 
     #[test]

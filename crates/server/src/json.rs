@@ -171,17 +171,13 @@ impl Json {
         out
     }
 
+    /// Appends the bytes [`Json::encode`] returns to `out`.
     fn encode_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(v) if v.is_finite() => {
-                // Rust's f64 Display is the shortest representation that
-                // parses back to the identical bit pattern.
-                let _ = write!(out, "{v}");
-            }
-            Json::Num(_) => out.push_str("null"),
+            Json::Num(v) => encode_number(*v, out),
             Json::Str(s) => encode_string(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -213,10 +209,7 @@ impl Json {
     /// # Errors
     /// [`JsonError`] with the byte offset of the first offending character.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut parser = Parser::new(text);
         parser.skip_whitespace();
         let value = parser.value(0)?;
         parser.skip_whitespace();
@@ -224,6 +217,17 @@ impl Json {
             return Err(parser.error("trailing characters after JSON value"));
         }
         Ok(value)
+    }
+}
+
+/// Appends a number the way [`Json::encode`] writes `Json::Num(v)`.
+fn encode_number(v: f64, out: &mut String) {
+    if v.is_finite() {
+        // Rust's f64 Display is the shortest representation that parses
+        // back to the identical bit pattern.
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
     }
 }
 
@@ -245,12 +249,108 @@ fn encode_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+// -- score lines and push replies ---------------------------------------
+//
+// The two hot replies are written and read without a `Json` tree. The
+// writers emit exactly the bytes `Json::encode` writes for the same object.
+// The decoders accept only that compact shape and return `None` for any
+// other line; they read numbers with the parser's own number rule, so they
+// reject every token `Json::parse` rejects.
+
+/// Appends the score result line `{"index":…,"scores":[…]}`.
+pub fn write_score_line(out: &mut String, index: usize, scores: &[f64]) {
+    out.push_str("{\"index\":");
+    encode_number(index as f64, out);
+    out.push_str(",\"scores\":[");
+    for (i, &v) in scores.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        encode_number(v, out);
+    }
+    out.push_str("]}");
+}
+
+/// Appends the session push reply
+/// `{"session":…,"pushed":…,"emitted":[[start,normality],…]}`, with an
+/// `"adapt"` member last when `adapt` is set.
+pub fn write_push_reply(
+    out: &mut String,
+    session: &str,
+    pushed: usize,
+    emitted: &[(usize, f64)],
+    adapt: Option<&Json>,
+) {
+    out.push_str("{\"session\":");
+    encode_string(session, out);
+    out.push_str(",\"pushed\":");
+    encode_number(pushed as f64, out);
+    out.push_str(",\"emitted\":[");
+    for (i, &(start, normality)) in emitted.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        encode_number(start as f64, out);
+        out.push(',');
+        encode_number(normality, out);
+        out.push(']');
+    }
+    out.push(']');
+    if let Some(adapt) = adapt {
+        out.push_str(",\"adapt\":");
+        adapt.encode_into(out);
+    }
+    out.push('}');
+}
+
+/// Decodes the `"scores"` of a line [`write_score_line`] wrote. `None` for
+/// any other line, including error lines and malformed numbers.
+pub fn decode_score_line(line: &str) -> Option<Vec<f64>> {
+    let mut p = Parser::new(line);
+    p.eat("{\"index\":")?;
+    p.number().ok()?;
+    p.eat(",\"scores\":")?;
+    let scores = p.compact_array(|p| p.number().ok())?;
+    p.eat("}")?;
+    p.at_end()?;
+    Some(scores)
+}
+
+/// Decodes the `"emitted"` pairs and the optional `"adapt"` object of a
+/// reply [`write_push_reply`] wrote. `None` for any other line.
+#[allow(clippy::type_complexity)]
+pub fn decode_push_reply(line: &str) -> Option<(Vec<(usize, f64)>, Option<Json>)> {
+    let mut p = Parser::new(line);
+    p.eat("{\"session\":")?;
+    p.string().ok()?;
+    p.eat(",\"pushed\":")?;
+    p.number().ok()?;
+    p.eat(",\"emitted\":")?;
+    let emitted = p.compact_array(Parser::pair)?;
+    let adapt = if p.eat(",\"adapt\":").is_some() {
+        Some(p.value(1).ok()?)
+    } else {
+        None
+    };
+    p.eat("}")?;
+    p.at_end()?;
+    Some((emitted, adapt))
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn error(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -298,13 +398,18 @@ impl<'a> Parser<'a> {
             Some(b'"') => self.string().map(Json::Str),
             Some(b'[') => self.array(depth),
             Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Num),
             Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// A number token: it starts with `-` or a digit, runs over the JSON
+    /// number characters, and must parse to a finite `f64`.
+    fn number(&mut self) -> Result<f64, JsonError> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.error("expected a number"));
+        }
         let start = self.pos;
         while matches!(
             self.peek(),
@@ -320,7 +425,46 @@ impl<'a> Parser<'a> {
         if !value.is_finite() {
             return Err(self.error(format!("non-finite number {text:?}")));
         }
-        Ok(Json::Num(value))
+        Ok(value)
+    }
+
+    /// Consumes `token` verbatim, or fails without moving.
+    fn eat(&mut self, token: &str) -> Option<()> {
+        self.bytes[self.pos..]
+            .starts_with(token.as_bytes())
+            .then(|| self.pos += token.len())
+    }
+
+    /// An array `[` … `]` with no whitespace — the shape the server
+    /// writes — whose items `item` decodes straight into Rust values.
+    fn compact_array<T>(&mut self, item: impl Fn(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        self.eat("[")?;
+        let mut out = Vec::new();
+        if self.eat("]").is_some() {
+            return Some(out);
+        }
+        loop {
+            out.push(item(self)?);
+            if self.eat("]").is_some() {
+                return Some(out);
+            }
+            self.eat(",")?;
+        }
+    }
+
+    /// A `[start,value]` pair, with `start` read by the rule of
+    /// [`Json::as_usize`].
+    fn pair(&mut self) -> Option<(usize, f64)> {
+        self.eat("[")?;
+        let start = Json::Num(self.number().ok()?).as_usize()?;
+        self.eat(",")?;
+        let value = self.number().ok()?;
+        self.eat("]")?;
+        Some((start, value))
+    }
+
+    fn at_end(&self) -> Option<()> {
+        (self.pos == self.bytes.len()).then_some(())
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -485,6 +629,110 @@ mod tests {
         assert_eq!(v.get("name").unwrap().as_str(), Some("m"));
         assert!(v.get("missing").is_none());
         assert!(Json::Null.get("n").is_none());
+    }
+
+    /// Values whose shortest form is easy to get wrong: a negative zero,
+    /// the smallest subnormal, the decimal/exponent switch points of other
+    /// formatters, and the largest exactly representable integer.
+    const AWKWARD: [f64; 6] = [-0.0, 5e-324, 1e21, 1e-7, 9007199254740992.0, 0.1];
+
+    #[test]
+    fn score_line_writer_matches_encode() {
+        for index in [0usize, 7, (1usize << 32) + 3] {
+            let mut line = String::new();
+            write_score_line(&mut line, index, &AWKWARD);
+            let tree = Json::obj([("index", Json::from(index)), ("scores", Json::arr(AWKWARD))]);
+            assert_eq!(line, tree.encode());
+            let back = decode_score_line(&line).unwrap();
+            assert_eq!(
+                back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                AWKWARD.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+        }
+        let mut empty = String::new();
+        write_score_line(&mut empty, 1, &[]);
+        assert_eq!(empty, r#"{"index":1,"scores":[]}"#);
+        assert_eq!(decode_score_line(&empty), Some(vec![]));
+    }
+
+    #[test]
+    fn push_reply_writer_matches_encode() {
+        let emitted: Vec<(usize, f64)> = AWKWARD
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| ((1usize << 32) + i, v))
+            .collect();
+        let adapt = Json::obj([
+            ("updates", Json::from(3usize)),
+            ("action", Json::from("none")),
+        ]);
+        for adapt in [None, Some(&adapt)] {
+            let mut line = String::new();
+            write_push_reply(&mut line, "s-1\"x", 500, &emitted, adapt);
+            let mut pairs = vec![
+                ("session".to_string(), Json::from("s-1\"x")),
+                ("pushed".to_string(), Json::from(500usize)),
+                (
+                    "emitted".to_string(),
+                    Json::Arr(
+                        emitted
+                            .iter()
+                            .map(|&(s, v)| Json::Arr(vec![Json::from(s), Json::from(v)]))
+                            .collect(),
+                    ),
+                ),
+            ];
+            if let Some(adapt) = adapt {
+                pairs.push(("adapt".to_string(), adapt.clone()));
+            }
+            assert_eq!(line, Json::Obj(pairs).encode());
+            let (back, back_adapt) = decode_push_reply(&line).unwrap();
+            assert_eq!(back_adapt.as_ref(), adapt);
+            assert_eq!(back.len(), emitted.len());
+            for ((bs, bv), (s, v)) in back.iter().zip(&emitted) {
+                assert_eq!((bs, bv.to_bits()), (s, v.to_bits()));
+            }
+        }
+    }
+
+    #[test]
+    fn decoders_reject_what_parse_rejects() {
+        for token in ["NaN", "nan", "inf", "-inf", "+1", "1e999", "-", "1.2.3x"] {
+            let line = format!(r#"{{"index":0,"scores":[1,{token}]}}"#);
+            assert!(Json::parse(&line).is_err(), "{line}");
+            assert_eq!(decode_score_line(&line), None, "{line}");
+            let reply = format!(r#"{{"session":"s","pushed":1,"emitted":[[0,{token}]]}}"#);
+            assert!(Json::parse(&reply).is_err(), "{reply}");
+            assert_eq!(decode_push_reply(&reply), None, "{reply}");
+        }
+        for line in [
+            r#"{"index":0,"scores":[1,2"#,
+            r#"{"index":0,"scores":[1,2]"#,
+            r#"{"index":0,"scores":[1,2]}x"#,
+            r#"{"index":0,"scores":[1,2]}}"#,
+            r#"{"index":0,"scores":[1,]}"#,
+        ] {
+            assert!(Json::parse(line).is_err(), "{line}");
+            assert_eq!(decode_score_line(line), None, "{line}");
+        }
+        for reply in [
+            r#"{"session":"s","pushed":1,"emitted":[[0,1]"#,
+            r#"{"session":"s","pushed":1,"emitted":[[0,1]]}x"#,
+            r#"{"session":"s","pushed":1,"emitted":[[0,1],]}"#,
+        ] {
+            assert!(Json::parse(reply).is_err(), "{reply}");
+            assert_eq!(decode_push_reply(reply), None, "{reply}");
+        }
+        // A start that is not an exact non-negative integer is malformed.
+        assert_eq!(
+            decode_push_reply(r#"{"session":"s","pushed":1,"emitted":[[0.5,1]]}"#),
+            None
+        );
+        // Error lines are not score lines; the caller parses them as JSON.
+        assert_eq!(
+            decode_score_line(r#"{"index":0,"error":"x","message":"y"}"#),
+            None
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@ use s2g_timeseries::{io as ts_io, TimeSeries};
 use crate::error::ApiError;
 use crate::history;
 use crate::http::{read_request, Method, ParseError, Request, Response};
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::metrics::Metrics;
 use crate::selfwatch::SelfWatch;
 use crate::sessions::SessionTable;
@@ -1919,11 +1919,13 @@ fn handle_delete_model(shared: &Shared, name: &str) -> Result<Response, ApiError
 /// Parses one comma-separated series line found on 1-based line `line`,
 /// with the value rule of the file parser ([`ts_io::parse_value`]).
 fn parse_series_line(line: usize, text: &str) -> Result<Vec<f64>, s2g_timeseries::Error> {
-    text.split(',')
-        .map(str::trim)
-        .filter(|token| !token.is_empty())
-        .map(|token| ts_io::parse_value(line, token))
-        .collect()
+    let mut values = Vec::new();
+    for token in text.split(',').map(str::trim) {
+        if !token.is_empty() {
+            values.push(ts_io::parse_value(line, token)?);
+        }
+    }
+    Ok(values)
 }
 
 fn handle_score(
@@ -1941,14 +1943,13 @@ fn handle_score(
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match parse_series_line(lineno + 1, line) {
-            Ok(values) => series.push(TimeSeries::from(values)),
-            // Mirror `parse_series`: an unparseable first line is treated
-            // as a header row and skipped, so the same CSV file is
-            // accepted by fit and score alike.
-            Err(s2g_timeseries::Error::Parse { .. }) if lineno == 0 => continue,
-            Err(e) => return Err(e.into()),
+        // Mirror `parse_series`: a first line whose first field is not a
+        // number is a header row and skipped, so the same CSV file is
+        // accepted by fit and score alike. Any other bad token is an error.
+        if lineno == 0 && ts_io::is_header(line) {
+            continue;
         }
+        series.push(TimeSeries::from(parse_series_line(lineno + 1, line)?));
     }
     if series.is_empty() {
         return Err(ApiError::bad_request("request body contains no series"));
@@ -1963,21 +1964,22 @@ fn handle_score(
     let lines = results
         .into_iter()
         .enumerate()
-        .map(|(index, result)| {
-            match result {
-                Ok(scores) => {
-                    Json::obj([("index", Json::from(index)), ("scores", Json::arr(scores))])
-                }
-                Err(e) => {
-                    let api = ApiError::from(e);
-                    Json::obj([
-                        ("index", Json::from(index)),
-                        ("error", Json::from(api.code)),
-                        ("message", Json::from(api.message)),
-                    ])
-                }
+        .map(|(index, result)| match result {
+            Ok(scores) => {
+                // Up to 24 bytes per shortest-form f64 plus its comma.
+                let mut line = String::with_capacity(32 + 25 * scores.len());
+                json::write_score_line(&mut line, index, &scores);
+                line
             }
-            .encode()
+            Err(e) => {
+                let api = ApiError::from(e);
+                Json::obj([
+                    ("index", Json::from(index)),
+                    ("error", Json::from(api.code)),
+                    ("message", Json::from(api.message)),
+                ])
+                .encode()
+            }
         })
         .collect();
     Ok(Response::ok(lines))
@@ -2078,16 +2080,7 @@ fn handle_push_session(
     shared.sessions.touch(&shared.engine, id)?;
     let series = ts_io::parse_series(request.body_text()?)?;
     let (emitted, status) = shared.engine.push_stream(id, series.values(), Some(ctx))?;
-    let pairs: Vec<Json> = emitted
-        .iter()
-        .map(|&(start, normality)| Json::Arr(vec![Json::from(start), Json::from(normality)]))
-        .collect();
-    let mut body = Json::obj([
-        ("session", Json::from(id)),
-        ("pushed", Json::from(series.len())),
-        ("emitted", Json::Arr(pairs)),
-    ]);
-    if let Some(status) = status {
+    let adapt = status.map(|status| {
         let (update_delta, refit_delta) =
             shared
                 .sessions
@@ -2118,11 +2111,11 @@ fn handle_push_session(
                 Json::from(checksum_string(checksum)),
             ));
         }
-        if let Json::Obj(pairs) = &mut body {
-            pairs.push(("adapt".to_string(), Json::Obj(adapt)));
-        }
-    }
-    Ok(Response::ok(vec![body.encode()]))
+        Json::Obj(adapt)
+    });
+    let mut body = String::with_capacity(64 + 32 * emitted.len());
+    json::write_push_reply(&mut body, id, series.len(), &emitted, adapt.as_ref());
+    Ok(Response::ok(vec![body]))
 }
 
 fn handle_close_session(shared: &Shared, id: &str) -> Result<Response, ApiError> {

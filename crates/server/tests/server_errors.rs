@@ -175,6 +175,29 @@ fn invalid_inputs_get_400_or_422() {
     let (status, code) = api_error(response.unwrap().into_result());
     assert_eq!((status, code.as_str()), (400, "invalid_csv"));
 
+    // A first line whose first field is a number is data, not a header: a
+    // bad token on it is refused, naming line 1 and the token, instead of
+    // the line being dropped and every later result renumbered.
+    let body = b"1.5,abc,2.0\n3,4,5\n";
+    let response = raw_exchange(
+        &addr,
+        &[
+            format!(
+                "POST /models/model/score?query_length=150 HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+                body.len()
+            )
+            .as_bytes(),
+            body,
+        ]
+        .concat(),
+    );
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    assert!(response.contains(r#""error":"invalid_csv""#), "{response}");
+    assert!(
+        response.contains(r#"cannot parse \"abc\" as a number on line 1"#),
+        "{response}"
+    );
+
     // An empty series is refused client-side before it can desynchronise
     // the batch indexing.
     let err = client

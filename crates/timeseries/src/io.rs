@@ -26,24 +26,30 @@ impl SeriesParser {
     }
 
     /// Consumes one line (0-indexed). Empty lines and lines starting with
-    /// `#` are skipped; a first line that does not parse as a number is
-    /// treated as a header row; only the first comma-separated field of a
-    /// line is read. A `nan` or `inf` is a value, never a header, and is
+    /// `#` are skipped; a first line whose first field is not a number is
+    /// a header row ([`is_header`]); only the first comma-separated field
+    /// of a line is read. A `nan` or `inf` is a value, never a header, and is
     /// rejected on any line.
     fn push_line(&mut self, lineno: usize, line: &str) -> Result<()> {
+        // A line that `str::parse` reads as a finite number has no
+        // whitespace, comment mark or comma, so the rule below would take
+        // it as is: skip the rule.
+        if let Ok(v) = line.parse::<f64>() {
+            if v.is_finite() {
+                self.values.push(v);
+                return Ok(());
+            }
+        }
         let token = line.trim();
         if token.is_empty() || token.starts_with('#') {
             return Ok(());
         }
-        let field = token.split(',').next().unwrap_or(token).trim();
-        match parse_value(lineno + 1, field) {
-            Ok(v) => {
-                self.values.push(v);
-                Ok(())
-            }
-            Err(Error::Parse { .. }) if lineno == 0 => Ok(()), // tolerate a header row
-            Err(e) => Err(e),
+        if lineno == 0 && is_header(token) {
+            return Ok(());
         }
+        let field = token.split(',').next().unwrap_or(token).trim();
+        self.values.push(parse_value(lineno + 1, field)?);
+        Ok(())
     }
 
     fn finish(self) -> TimeSeries {
@@ -69,6 +75,14 @@ pub fn parse_value(line: usize, token: &str) -> Result<f64> {
             token: token.to_string(),
         }),
     }
+}
+
+/// The header rule of every series body: `true` when the first
+/// comma-separated field of `line` is not a number. `nan` and `inf` are
+/// numbers here, so they are never taken for a header.
+pub fn is_header(line: &str) -> bool {
+    let field = line.split(',').next().unwrap_or(line).trim();
+    matches!(parse_value(1, field), Err(Error::Parse { .. }))
 }
 
 /// Parses a single-column series (one floating point value per line) from
@@ -212,6 +226,16 @@ mod tests {
         let ts = read_series(&path).unwrap();
         assert_eq!(ts.values(), &[1.0, 2.5, 3.0]);
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn header_is_a_first_field_that_is_not_a_number() {
+        for header in ["value", "value,label", " t , x", ",1.5", ""] {
+            assert!(is_header(header), "{header:?}");
+        }
+        for data in ["1.5", "1.5,abc", " -2e3 ,x", "nan", "inf,1"] {
+            assert!(!is_header(data), "{data:?}");
+        }
     }
 
     #[test]

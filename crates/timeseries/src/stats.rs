@@ -109,17 +109,25 @@ pub fn argmin(xs: &[f64]) -> Option<usize> {
 /// "reuse the previously computed convolutions" trick of Algorithm 1 in the
 /// paper.
 pub fn rolling_sum(xs: &[f64], w: usize) -> Vec<f64> {
+    let mut out = Vec::new();
+    rolling_sum_into(xs, w, &mut out);
+    out
+}
+
+/// [`rolling_sum`] into a caller-owned buffer, which is cleared first and
+/// keeps its capacity, so a caller that sums many windows allocates once.
+pub fn rolling_sum_into(xs: &[f64], w: usize, out: &mut Vec<f64>) {
+    out.clear();
     if w == 0 || w > xs.len() {
-        return Vec::new();
+        return;
     }
-    let mut out = Vec::with_capacity(xs.len() - w + 1);
+    out.reserve(xs.len() - w + 1);
     let mut acc: f64 = xs[..w].iter().sum();
     out.push(acc);
     for i in w..xs.len() {
         acc += xs[i] - xs[i - w];
         out.push(acc);
     }
-    out
 }
 
 /// Rolling means of window `w` (rolling sums divided by `w`).
@@ -218,6 +226,16 @@ mod tests {
     fn rolling_sum_too_long_window() {
         assert!(rolling_sum(&[1.0, 2.0], 3).is_empty());
         assert!(rolling_sum(&[1.0, 2.0], 0).is_empty());
+    }
+
+    #[test]
+    fn rolling_sum_into_replaces_the_buffer_contents() {
+        let xs = [1.0, 2.0, 3.0, 4.0];
+        let mut out = vec![9.0; 10];
+        rolling_sum_into(&xs, 2, &mut out);
+        assert_eq!(out, rolling_sum(&xs, 2));
+        rolling_sum_into(&xs, 5, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
