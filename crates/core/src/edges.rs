@@ -33,12 +33,8 @@ impl EdgeExtraction {
     /// extracted node set, building the transition graph.
     pub fn extract(points: &[Vec2], nodes: &NodeSet) -> Result<Self> {
         let node_sequence = assign_sequence(points, nodes);
-        let mut graph = DiGraph::with_nodes(nodes.node_count());
-        let mut transitions = Vec::with_capacity(node_sequence.len().saturating_sub(1));
-        for pair in node_sequence.windows(2) {
-            graph.record_transition(pair[0], pair[1])?;
-            transitions.push((pair[0], pair[1]));
-        }
+        let transitions = consecutive_pairs(&node_sequence);
+        let graph = DiGraph::from_transitions(nodes.node_count(), &transitions)?;
         Ok(Self {
             graph,
             node_sequence,
@@ -51,9 +47,13 @@ impl EdgeExtraction {
     /// is the second half of the paper's `Time2Path` conversion, used to
     /// score subsequences that were not part of the training series.
     pub fn map_transitions(points: &[Vec2], nodes: &NodeSet) -> Vec<(usize, usize)> {
-        let seq = assign_sequence(points, nodes);
-        seq.windows(2).map(|pair| (pair[0], pair[1])).collect()
+        consecutive_pairs(&assign_sequence(points, nodes))
     }
+}
+
+/// The transition of every gap of a node sequence.
+fn consecutive_pairs(sequence: &[usize]) -> Vec<(usize, usize)> {
+    sequence.windows(2).map(|pair| (pair[0], pair[1])).collect()
 }
 
 /// Assigns every embedded point to its node (`S(P_i)` for all `i`).

@@ -19,15 +19,13 @@ use s2g_timeseries::filter::moving_average;
 /// transition observed at each trajectory gap. Transitions that do not exist
 /// in the graph (possible when scoring unseen data) contribute zero.
 ///
-/// Lookups go through the graph's frozen [`s2g_graph::CsrView`] snapshot —
-/// binary search over contiguous memory with a precomputed degree factor —
-/// instead of per-transition `BTreeMap` walks; the values (and every output
-/// bit) are identical.
+/// Each lookup is [`DiGraph::contribution`]: a binary search over the
+/// source's compressed row and one multiply by its precomputed degree
+/// factor.
 pub fn gap_contributions(graph: &DiGraph, transitions: &[(usize, usize)]) -> Vec<f64> {
-    let csr = graph.csr();
     transitions
         .iter()
-        .map(|&(from, to)| csr.contribution(from, to))
+        .map(|&(from, to)| graph.contribution(from, to))
         .collect()
 }
 
@@ -109,15 +107,9 @@ mod tests {
     use super::*;
 
     fn toy_graph() -> DiGraph {
-        let mut g = DiGraph::with_nodes(4);
-        for _ in 0..10 {
-            g.record_transition(0, 1).unwrap();
-            g.record_transition(1, 0).unwrap();
-        }
-        g.record_transition(1, 2).unwrap();
-        g.record_transition(2, 3).unwrap();
-        g.record_transition(3, 0).unwrap();
-        g
+        let mut transitions = [(0, 1), (1, 0)].repeat(10);
+        transitions.extend([(1, 2), (2, 3), (3, 0)]);
+        DiGraph::from_transitions(4, &transitions).unwrap()
     }
 
     #[test]

@@ -161,11 +161,9 @@ impl StreamingScorer {
                 let contribution = match (self.last_node, node) {
                     (Some(prev), Some(current)) => {
                         self.last_transition = Some((prev, current));
-                        // The CSR snapshot is cached on the graph; after
-                        // an adaptation reweight the cache is dropped and
-                        // this rebuilds it, so reads never see stale
-                        // weights.
-                        self.model.graph().csr().contribution(prev, current)
+                        // Adaptation reweights the graph's rows in place,
+                        // so this read always sees the current weights.
+                        self.model.graph().contribution(prev, current)
                     }
                     _ => {
                         self.last_transition = None;

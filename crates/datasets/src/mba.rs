@@ -123,11 +123,6 @@ fn supraventricular_beat() -> crate::periodic::Template {
     ])
 }
 
-/// Generates one MBA-like record with the default paper length (100K points).
-pub fn generate_mba(record: MbaRecord, seed: u64) -> LabeledSeries {
-    generate_mba_with_length(record, MBA_LENGTH, seed)
-}
-
 /// Generates one MBA-like record with a custom series length (anomaly counts
 /// are scaled proportionally, keeping at least one anomaly of each configured
 /// kind).

@@ -22,11 +22,6 @@ pub const SED_ANOMALY_COUNT: usize = 50;
 /// Revolution period of the synthetic signal.
 pub const SED_PERIOD: usize = 60;
 
-/// Generates the SED-like dataset with the paper's default length.
-pub fn generate_sed(seed: u64) -> LabeledSeries {
-    generate_sed_with_length(SED_LENGTH, seed)
-}
-
 /// Generates the SED-like dataset with a custom length (anomaly count scaled
 /// proportionally, at least 1).
 pub fn generate_sed_with_length(length: usize, seed: u64) -> LabeledSeries {

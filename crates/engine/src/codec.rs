@@ -826,7 +826,7 @@ fn read_graph_section(r: &mut Reader<'_>, expected_nodes: usize) -> Result<DiGra
         let weight = r.get_f64("graph.edge.weight")?;
         edges.push((from, to, weight));
     }
-    DiGraph::from_edges(node_count, edges).map_err(|e| Error::Format(format!("graph.edge: {e}")))
+    DiGraph::from_edges(node_count, &edges).map_err(|e| Error::Format(format!("graph.{e}")))
 }
 
 fn read_train_section(r: &mut Reader<'_>) -> Result<(usize, Vec<f64>, Option<AdaptationLineage>)> {
@@ -1325,6 +1325,45 @@ mod tests {
                 supported: FORMAT_VERSION
             })
         ));
+    }
+
+    /// A graph section payload over `node_count` nodes holding `edges`.
+    fn graph_payload(node_count: usize, edges: &[(usize, usize, f64)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_usize(node_count);
+        w.put_usize(edges.len());
+        for &(from, to, weight) in edges {
+            w.put_usize(from);
+            w.put_usize(to);
+            w.put_f64(weight);
+        }
+        w.buf
+    }
+
+    #[test]
+    fn graph_section_refuses_what_no_writer_produces() {
+        let refused = [
+            (vec![(0, 1, 2.0), (1, 2, f64::NAN)], "graph.edge[1]"),
+            (vec![(0, 1, -1.0)], "graph.edge[0]"),
+            (vec![(1, 2, 2.0), (0, 1, 1.0)], "graph.edge[1]"),
+            (vec![(0, 1, 2.0), (0, 1, 1.0)], "graph.edge[1]"),
+        ];
+        for (edges, name) in refused {
+            let payload = graph_payload(3, &edges);
+            match read_graph_section(&mut Reader::new(&payload), 3) {
+                Err(Error::Format(msg)) => assert!(msg.starts_with(name), "{edges:?}: {msg}"),
+                other => panic!("{edges:?} decoded: {other:?}"),
+            }
+        }
+        // What a writer does produce, a zero weight from decay included.
+        let edges = [(0, 0, 3.0), (0, 2, 0.0), (2, 1, 0.5)];
+        let payload = graph_payload(3, &edges);
+        let graph = read_graph_section(&mut Reader::new(&payload), 3).unwrap();
+        let back: Vec<_> = graph.edges().map(|e| (e.from, e.to, e.weight)).collect();
+        assert_eq!(back, edges);
+        let mut w = Writer::new();
+        write_graph_section(&mut w, &graph);
+        assert_eq!(w.buf, payload);
     }
 
     #[test]

@@ -1,13 +1,26 @@
-//! Directed weighted graph with cumulative edge weights.
+//! The fitted transition graph, stored once as compressed sparse rows.
+//!
+//! Scoring evaluates `w(from, to) · (deg(from) − 1).max(0)` once per
+//! trajectory gap, so the graph keeps exactly what that read needs in
+//! contiguous arrays — classic compressed sparse row — plus the per-node
+//! degree and its precomputed factor:
+//!
+//! ```text
+//! row_start: [0,        2,    3, ...]   one entry per node, +1 sentinel
+//! targets:   [ 1, 4,    2,   ... ]      out-neighbours, sorted per row
+//! weights:   [ w01,w04, w12, ... ]      parallel to `targets`
+//! degree:    [ out(0)+in(0), ... ]      distinct adjacent edges
+//! factor:    [ (deg(0)−1)⁺, ... ]       (deg(n) − 1).max(0) as f64
+//! ```
+//!
+//! One lookup is a binary search over a short row and one multiply. Rows
+//! are sorted by target, so [`DiGraph::edges`] yields edges in `(from, to)`
+//! order, which is the order the model codec writes.
 
-use std::collections::BTreeMap;
-use std::sync::OnceLock;
-
-use crate::csr::CsrView;
 use crate::error::{Error, Result};
 
-/// Identifier of a node inside a [`DiGraph`]. Node ids are dense indices
-/// assigned in insertion order.
+/// Identifier of a node inside a [`DiGraph`]: a dense index below
+/// [`DiGraph::node_count`].
 pub type NodeId = usize;
 
 /// A borrowed view of one edge.
@@ -21,172 +34,204 @@ pub struct EdgeRef {
     pub weight: f64,
 }
 
-/// A directed graph with weighted edges and optional per-node payloads.
+/// A directed graph with weighted edges, in compressed-sparse-row form.
 ///
-/// Adding the same `(from, to)` pair repeatedly accumulates the edge weight,
-/// which matches how Series2Graph counts transitions: the weight of an edge
-/// is the number of times the corresponding pair of subsequences was observed
-/// one after the other in the input series.
-#[derive(Debug, Clone, Default)]
+/// The weight of an edge is the number of times the corresponding pair of
+/// subsequences was observed one after the other in the input series
+/// ([`DiGraph::from_transitions`]); online adaptation then moves mass
+/// between the out-edges of a node ([`DiGraph::reweight_out_edge`]).
+#[derive(Debug, Clone)]
 pub struct DiGraph {
-    /// Outgoing adjacency: `out[u][v] = w(u, v)`.
-    out_edges: Vec<BTreeMap<NodeId, f64>>,
-    /// Incoming adjacency: `incoming[v][u] = w(u, v)`.
-    in_edges: Vec<BTreeMap<NodeId, f64>>,
-    /// Lazily-built frozen scoring snapshot (see [`DiGraph::csr`]). Every
-    /// mutating method drops it; readers rebuild on first use. Cloning a
-    /// graph clones the cache, which stays consistent because the adjacency
-    /// it was built from is cloned with it.
-    csr: OnceLock<CsrView>,
+    /// `row_start[n] .. row_start[n + 1]` indexes the out-edges of node `n`
+    /// in `targets`/`weights`. Length `node_count + 1`.
+    row_start: Vec<usize>,
+    /// Destination of every edge, sorted ascending within each row.
+    targets: Vec<NodeId>,
+    /// Weight of every edge, parallel to `targets`.
+    weights: Vec<f64>,
+    /// Total degree per node: distinct outgoing plus distinct incoming
+    /// edges, so a self-loop counts twice.
+    degree: Vec<usize>,
+    /// `(deg(n) − 1).max(0)` per node, precomputed as `f64`.
+    factor: Vec<f64>,
+}
+
+fn factor_of(degree: usize) -> f64 {
+    (degree as f64 - 1.0).max(0.0)
 }
 
 impl DiGraph {
-    /// Creates an empty graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a graph with `n` isolated nodes.
-    pub fn with_nodes(n: usize) -> Self {
-        Self {
-            out_edges: vec![BTreeMap::new(); n],
-            in_edges: vec![BTreeMap::new(); n],
-            csr: OnceLock::new(),
-        }
-    }
-
-    /// Rebuilds a graph from a node count and an edge list, as produced by
-    /// [`DiGraph::edges`]. Weights of repeated `(from, to)` pairs accumulate.
-    /// Used by model persistence.
+    /// Builds the graph of a transition sequence: the weight of `from -> to`
+    /// is the number of times the pair occurs in `transitions`.
     ///
     /// # Errors
-    /// [`Error::UnknownNode`] when an edge references a node `>= node_count`.
-    pub fn from_edges<I>(node_count: usize, edges: I) -> Result<Self>
-    where
-        I: IntoIterator<Item = (NodeId, NodeId, f64)>,
-    {
-        let mut graph = Self::with_nodes(node_count);
-        for (from, to, weight) in edges {
-            graph.add_edge_weight(from, to, weight)?;
+    /// [`Error::UnknownNode`] when a transition references a node
+    /// `>= node_count`.
+    pub fn from_transitions(node_count: usize, transitions: &[(NodeId, NodeId)]) -> Result<Self> {
+        let mut endpoints = transitions.iter().flat_map(|&(from, to)| [from, to]);
+        if let Some(node) = endpoints.find(|&node| node >= node_count) {
+            return Err(Error::UnknownNode(node));
         }
-        Ok(graph)
+        // Sort the pairs: a counting sort by source, then each source's
+        // targets in place, which times below one comparison sort of the
+        // pairs. A run of equal targets is one edge.
+        let mut bounds = vec![0; node_count + 1];
+        for &(from, _) in transitions {
+            bounds[from + 1] += 1;
+        }
+        for n in 0..node_count {
+            bounds[n + 1] += bounds[n];
+        }
+        let mut next = bounds.clone();
+        let mut by_source = vec![0; transitions.len()];
+        for &(from, to) in transitions {
+            by_source[next[from]] = to;
+            next[from] += 1;
+        }
+        for n in 0..node_count {
+            by_source[bounds[n]..bounds[n + 1]].sort_unstable();
+        }
+        let runs = (0..node_count).flat_map(|from| {
+            by_source[bounds[from]..bounds[from + 1]]
+                .chunk_by(|a, b| a == b)
+                .map(move |run| (from, run[0], run.len() as f64))
+        });
+        Ok(Self::from_sorted(node_count, runs))
     }
 
-    /// Adds a new isolated node and returns its id.
-    pub fn add_node(&mut self) -> NodeId {
-        self.invalidate_csr();
-        self.out_edges.push(BTreeMap::new());
-        self.in_edges.push(BTreeMap::new());
-        self.out_edges.len() - 1
+    /// Rebuilds a graph from a node count and an edge list as produced by
+    /// [`DiGraph::edges`]. Used by model persistence, so it accepts exactly
+    /// what a graph can hold: edges strictly increasing in `(from, to)`,
+    /// endpoints below `node_count`, and finite non-negative weights (zero
+    /// included, since repeated decay can underflow to it).
+    ///
+    /// # Errors
+    /// [`Error::InvalidEdge`] naming the first edge that breaks a rule.
+    pub fn from_edges(node_count: usize, edges: &[(NodeId, NodeId, f64)]) -> Result<Self> {
+        for (index, &(from, to, weight)) in edges.iter().enumerate() {
+            let reason = if from >= node_count || to >= node_count {
+                format!("{from} -> {to} references a node outside 0..{node_count}")
+            } else if !(weight.is_finite() && weight >= 0.0) {
+                format!("weight {weight} of {from} -> {to} is not finite and non-negative")
+            } else if index > 0 && (edges[index - 1].0, edges[index - 1].1) >= (from, to) {
+                format!("{from} -> {to} does not follow the previous edge in (from, to) order")
+            } else {
+                continue;
+            };
+            return Err(Error::InvalidEdge { index, reason });
+        }
+        Ok(Self::from_sorted(node_count, edges.iter().copied()))
     }
 
-    /// The frozen compressed-sparse-row scoring snapshot of this graph
-    /// (see [`CsrView`]), built lazily on first use and kept coherent
-    /// across mutations: structural changes drop the cache, while
-    /// [`DiGraph::reweight_out_edge`] on an existing edge patches the
-    /// cached row in place (`O(deg)`). Scoring hot paths read edge weights
-    /// and degree factors through this view — a binary search over
-    /// contiguous memory — instead of walking the mutable `BTreeMap`
-    /// adjacency per lookup.
-    pub fn csr(&self) -> &CsrView {
-        self.csr.get_or_init(|| CsrView::build(self))
-    }
-
-    /// Drops the cached scoring snapshot; called by every mutating method
-    /// so a stale view can never serve reads after a write.
-    fn invalidate_csr(&mut self) {
-        self.csr = OnceLock::new();
+    /// Lays out edges that are already valid, sorted by `(from, to)` and
+    /// free of repeats.
+    fn from_sorted(node_count: usize, edges: impl Iterator<Item = (NodeId, NodeId, f64)>) -> Self {
+        let mut row_start = vec![0; node_count + 1];
+        let mut degree = vec![0; node_count];
+        let (mut targets, mut weights) = (Vec::new(), Vec::new());
+        for (from, to, weight) in edges {
+            row_start[from + 1] += 1;
+            degree[from] += 1;
+            degree[to] += 1;
+            targets.push(to);
+            weights.push(weight);
+        }
+        for n in 0..node_count {
+            row_start[n + 1] += row_start[n];
+        }
+        let factor = degree.iter().map(|&d| factor_of(d)).collect();
+        Self {
+            row_start,
+            targets,
+            weights,
+            degree,
+            factor,
+        }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.out_edges.len()
+        self.degree.len()
     }
 
     /// Number of distinct directed edges.
     pub fn edge_count(&self) -> usize {
-        self.out_edges.iter().map(|m| m.len()).sum()
+        self.targets.len()
     }
 
     /// `true` when the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.out_edges.is_empty()
+        self.degree.is_empty()
     }
 
     /// Returns `true` if `node` is a valid node id.
     pub fn contains_node(&self, node: NodeId) -> bool {
-        node < self.out_edges.len()
+        node < self.node_count()
     }
 
-    /// Adds `weight` to the edge `from -> to`, creating it if needed.
-    ///
-    /// # Errors
-    /// [`Error::UnknownNode`] when either endpoint does not exist.
-    pub fn add_edge_weight(&mut self, from: NodeId, to: NodeId, weight: f64) -> Result<()> {
-        if !self.contains_node(from) {
-            return Err(Error::UnknownNode(from));
+    /// Index range of the out-edges of `node` in `targets`/`weights`
+    /// (empty for an out-of-range id).
+    fn row(&self, node: NodeId) -> std::ops::Range<usize> {
+        if self.contains_node(node) {
+            self.row_start[node]..self.row_start[node + 1]
+        } else {
+            0..0
         }
-        if !self.contains_node(to) {
-            return Err(Error::UnknownNode(to));
-        }
-        self.invalidate_csr();
-        *self.out_edges[from].entry(to).or_insert(0.0) += weight;
-        *self.in_edges[to].entry(from).or_insert(0.0) += weight;
-        Ok(())
-    }
-
-    /// Records one observation of the transition `from -> to`
-    /// (adds weight 1 to the edge).
-    pub fn record_transition(&mut self, from: NodeId, to: NodeId) -> Result<()> {
-        self.add_edge_weight(from, to, 1.0)
     }
 
     /// Weight of the edge `from -> to`, or `None` when absent.
+    #[inline]
     pub fn edge_weight(&self, from: NodeId, to: NodeId) -> Option<f64> {
-        self.out_edges.get(from).and_then(|m| m.get(&to)).copied()
+        let row = self.row(from);
+        self.targets[row.clone()]
+            .binary_search(&to)
+            .ok()
+            .map(|i| self.weights[row.start + i])
     }
 
     /// Out-degree of a node: number of distinct outgoing edges.
     pub fn out_degree(&self, node: NodeId) -> usize {
-        self.out_edges.get(node).map_or(0, |m| m.len())
-    }
-
-    /// In-degree of a node: number of distinct incoming edges.
-    pub fn in_degree(&self, node: NodeId) -> usize {
-        self.in_edges.get(node).map_or(0, |m| m.len())
+        self.row(node).len()
     }
 
     /// Total degree `deg(N)`: number of distinct edges adjacent to the node
     /// (incoming plus outgoing), as used by the normality score
     /// `w(e)·(deg(N)−1)`.
     pub fn degree(&self, node: NodeId) -> usize {
-        self.out_degree(node) + self.in_degree(node)
+        self.degree.get(node).copied().unwrap_or(0)
+    }
+
+    /// The normality degree factor `(deg(n) − 1).max(0)` of a node (`0.0`
+    /// for an out-of-range id, matching `deg = 0`).
+    #[inline]
+    pub fn degree_factor(&self, node: NodeId) -> f64 {
+        self.factor.get(node).copied().unwrap_or(0.0)
+    }
+
+    /// Per-gap normality contribution `w(from, to) · (deg(from) − 1).max(0)`
+    /// of one transition; an absent edge contributes `0.0 · factor`.
+    #[inline]
+    pub fn contribution(&self, from: NodeId, to: NodeId) -> f64 {
+        self.edge_weight(from, to).unwrap_or(0.0) * self.degree_factor(from)
     }
 
     /// Sum of the weights of the outgoing edges of a node.
     pub fn out_strength(&self, node: NodeId) -> f64 {
-        self.out_edges.get(node).map_or(0.0, |m| m.values().sum())
+        self.weights[self.row(node)].iter().sum()
     }
 
-    /// Sum of the weights of the incoming edges of a node.
-    pub fn in_strength(&self, node: NodeId) -> f64 {
-        self.in_edges.get(node).map_or(0.0, |m| m.values().sum())
-    }
-
-    /// Iterator over the outgoing edges of a node.
+    /// Iterator over the outgoing edges of a node, by ascending target.
     pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeRef> + '_ {
-        self.out_edges.get(node).into_iter().flat_map(move |m| {
-            m.iter().map(move |(&to, &weight)| EdgeRef {
-                from: node,
-                to,
-                weight,
-            })
+        self.row(node).map(move |i| EdgeRef {
+            from: node,
+            to: self.targets[i],
+            weight: self.weights[i],
         })
     }
 
-    /// Iterator over every edge in the graph.
+    /// Iterator over every edge in the graph, in `(from, to)` order.
     pub fn edges(&self) -> impl Iterator<Item = EdgeRef> + '_ {
-        (0..self.node_count()).flat_map(move |n| self.out_edges(n))
+        self.nodes().flat_map(move |n| self.out_edges(n))
     }
 
     /// Iterator over all node ids.
@@ -204,19 +249,19 @@ impl DiGraph {
         self.edges().map(|e| e.weight).fold(0.0, f64::max)
     }
 
-    /// Returns the ids of nodes with at least one adjacent edge.
-    pub fn connected_nodes(&self) -> Vec<NodeId> {
-        self.nodes().filter(|&n| self.degree(n) > 0).collect()
-    }
-
     /// Exponentially-decayed in-place reweighting of the transition
     /// `from -> to`: every outgoing edge of `from` is decayed by `1 − λ`
     /// and the freed mass `λ · strength(from)` is reinforced onto the
     /// observed edge, creating it if absent. The out-strength of `from` is
-    /// exactly preserved, so repeated updates steer the node's transition
-    /// *distribution* toward recent observations without inflating or
-    /// draining total edge mass — the primitive behind online model
-    /// adaptation.
+    /// preserved up to rounding, so repeated updates steer the node's
+    /// transition *distribution* toward recent observations without
+    /// inflating or draining total edge mass — the primitive behind online
+    /// model adaptation.
+    ///
+    /// Only row `from` changes, in `O(deg(from))` when the edge exists. A
+    /// new edge is inserted at its sorted position, which shifts the later
+    /// rows by one (`O(V + E)` moves) and raises the degrees (and factors)
+    /// of `from` and `to`.
     ///
     /// `λ = 0` is an exact no-op (weights are left untouched bit-for-bit)
     /// and a node without outgoing mass stays untouched too (reinforcing
@@ -246,243 +291,268 @@ impl DiGraph {
         }
         let retain = 1.0 - lambda;
         let reinforcement = lambda * strength;
-        // Patch the cached scoring snapshot in place when the touched edge
-        // already exists (the common adaptive-session case — O(deg(from))
-        // instead of an O(V + E) rebuild per update). A brand-new edge
-        // changes degrees and row shapes, so that case drops the cache and
-        // the next read rebuilds.
-        let patched = match self.csr.get_mut() {
-            None => true, // nothing cached, nothing to go stale
-            Some(view) => view.apply_reweight(from, to, retain, reinforcement),
-        };
-        if !patched {
-            self.invalidate_csr();
+        let row = self.row(from);
+        for w in &mut self.weights[row.clone()] {
+            *w *= retain;
         }
-        // Decay every outgoing edge of `from`, mirroring into the incoming
-        // adjacency so both views stay consistent.
-        let targets: Vec<NodeId> = self.out_edges[from].keys().copied().collect();
-        for target in targets {
-            if let Some(w) = self.out_edges[from].get_mut(&target) {
-                *w *= retain;
-            }
-            if let Some(w) = self.in_edges[target].get_mut(&from) {
-                *w *= retain;
+        match self.targets[row.clone()].binary_search(&to) {
+            Ok(i) => self.weights[row.start + i] += reinforcement,
+            Err(i) => {
+                self.targets.insert(row.start + i, to);
+                self.weights.insert(row.start + i, reinforcement);
+                for start in &mut self.row_start[from + 1..] {
+                    *start += 1;
+                }
+                for node in [from, to] {
+                    self.degree[node] += 1;
+                    self.factor[node] = factor_of(self.degree[node]);
+                }
             }
         }
-        *self.out_edges[from].entry(to).or_insert(0.0) += reinforcement;
-        *self.in_edges[to].entry(from).or_insert(0.0) += reinforcement;
         Ok(reinforcement)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
-    fn triangle() -> DiGraph {
-        let mut g = DiGraph::with_nodes(3);
-        g.record_transition(0, 1).unwrap();
-        g.record_transition(1, 2).unwrap();
-        g.record_transition(2, 0).unwrap();
-        g
+    /// Reference adjacency: the outgoing and incoming `BTreeMap`s the graph
+    /// used to keep, with their accumulation and reweight arithmetic.
+    struct MapGraph {
+        out_edges: Vec<BTreeMap<NodeId, f64>>,
+        in_edges: Vec<BTreeMap<NodeId, f64>>,
     }
 
-    #[test]
-    fn add_nodes_and_edges() {
-        let mut g = DiGraph::new();
-        let a = g.add_node();
-        let b = g.add_node();
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(g.node_count(), 2);
-        g.record_transition(a, b).unwrap();
-        assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.edge_weight(a, b), Some(1.0));
-        assert_eq!(g.edge_weight(b, a), None);
-    }
-
-    #[test]
-    fn repeated_transitions_accumulate_weight() {
-        let mut g = DiGraph::with_nodes(2);
-        for _ in 0..5 {
-            g.record_transition(0, 1).unwrap();
+    impl MapGraph {
+        fn new(n: usize) -> Self {
+            Self {
+                out_edges: vec![BTreeMap::new(); n],
+                in_edges: vec![BTreeMap::new(); n],
+            }
         }
-        assert_eq!(g.edge_weight(0, 1), Some(5.0));
-        assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.total_weight(), 5.0);
+
+        fn add(&mut self, from: NodeId, to: NodeId, weight: f64) {
+            *self.out_edges[from].entry(to).or_insert(0.0) += weight;
+            *self.in_edges[to].entry(from).or_insert(0.0) += weight;
+        }
+
+        fn factor(&self, node: NodeId) -> f64 {
+            let degree = self.out_edges[node].len() + self.in_edges[node].len();
+            (degree as f64 - 1.0).max(0.0)
+        }
+
+        fn reweight(&mut self, from: NodeId, to: NodeId, lambda: f64) {
+            if lambda == 0.0 {
+                return;
+            }
+            let strength: f64 = self.out_edges[from].values().sum();
+            if strength <= 0.0 {
+                return;
+            }
+            let (retain, reinforcement) = (1.0 - lambda, lambda * strength);
+            let targets: Vec<NodeId> = self.out_edges[from].keys().copied().collect();
+            for target in targets {
+                *self.out_edges[from].get_mut(&target).unwrap() *= retain;
+                *self.in_edges[target].get_mut(&from).unwrap() *= retain;
+            }
+            self.add(from, to, reinforcement);
+        }
+
+        /// Asserts every weight, degree factor and contribution of `g`
+        /// equals the reference bit for bit.
+        fn assert_matches(&self, g: &DiGraph) {
+            let n = self.out_edges.len();
+            assert_eq!(g.node_count(), n);
+            let edges: Vec<(NodeId, NodeId, u64)> = (0..n)
+                .flat_map(|f| {
+                    self.out_edges[f]
+                        .iter()
+                        .map(move |(&t, w)| (f, t, w.to_bits()))
+                })
+                .collect();
+            let got: Vec<(NodeId, NodeId, u64)> = g
+                .edges()
+                .map(|e| (e.from, e.to, e.weight.to_bits()))
+                .collect();
+            assert_eq!(got, edges);
+            for from in 0..n {
+                assert_eq!(g.degree_factor(from).to_bits(), self.factor(from).to_bits());
+                assert_eq!(
+                    g.degree(from),
+                    self.out_edges[from].len() + self.in_edges[from].len()
+                );
+                for to in 0..n {
+                    let w = self.out_edges[from].get(&to).copied();
+                    assert_eq!(
+                        g.edge_weight(from, to).map(f64::to_bits),
+                        w.map(f64::to_bits)
+                    );
+                    let legacy = w.unwrap_or(0.0) * self.factor(from);
+                    assert_eq!(g.contribution(from, to).to_bits(), legacy.to_bits());
+                }
+            }
+        }
+    }
+
+    /// Weights with noisy low bits, so a reweight diverging from the map
+    /// arithmetic by even an ulp is caught.
+    fn noisy() -> (DiGraph, MapGraph) {
+        let edges = [
+            (0, 1, 0.1 + 0.2),
+            (0, 2, 1.0 / 3.0),
+            (1, 0, 0.7),
+            (1, 3, 2.5),
+            (3, 3, 1e-3),
+        ];
+        let mut reference = MapGraph::new(5);
+        for &(f, t, w) in &edges {
+            reference.add(f, t, w);
+        }
+        (DiGraph::from_edges(5, &edges).unwrap(), reference)
     }
 
     #[test]
-    fn unknown_node_rejected() {
-        let mut g = DiGraph::with_nodes(1);
-        assert_eq!(g.record_transition(0, 3), Err(Error::UnknownNode(3)));
-        assert_eq!(g.record_transition(7, 0), Err(Error::UnknownNode(7)));
+    fn from_transitions_matches_naive_accumulation() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let transitions: Vec<(NodeId, NodeId)> = (0..2_000)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                ((state % 7) as usize, (state / 7 % 9) as usize)
+            })
+            .collect();
+        let mut reference = MapGraph::new(9);
+        for &(f, t) in &transitions {
+            reference.add(f, t, 1.0);
+        }
+        let g = DiGraph::from_transitions(9, &transitions).unwrap();
+        reference.assert_matches(&g);
+        assert_eq!(g.total_weight(), 2_000.0);
     }
 
     #[test]
     fn degrees_count_distinct_edges() {
-        let mut g = DiGraph::with_nodes(4);
-        g.record_transition(0, 1).unwrap();
-        g.record_transition(0, 1).unwrap(); // same edge, still degree 1 contribution
-        g.record_transition(0, 2).unwrap();
-        g.record_transition(3, 0).unwrap();
+        let g = DiGraph::from_transitions(4, &[(0, 1), (0, 1), (0, 2), (3, 0)]).unwrap();
+        assert_eq!(g.edge_weight(0, 1), Some(2.0));
+        assert_eq!(g.edge_weight(1, 0), None);
+        assert_eq!(g.edge_count(), 3);
         assert_eq!(g.out_degree(0), 2);
-        assert_eq!(g.in_degree(0), 1);
         assert_eq!(g.degree(0), 3);
         assert_eq!(g.degree(1), 1);
         assert_eq!(g.degree(3), 1);
+        assert_eq!(g.degree_factor(0), 2.0);
+        assert_eq!(g.degree_factor(1), 0.0);
     }
 
     #[test]
     fn self_loop_counts_in_both_directions() {
-        let mut g = DiGraph::with_nodes(1);
-        g.record_transition(0, 0).unwrap();
+        let g = DiGraph::from_transitions(1, &[(0, 0)]).unwrap();
         assert_eq!(g.out_degree(0), 1);
-        assert_eq!(g.in_degree(0), 1);
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.edge_weight(0, 0), Some(1.0));
     }
 
     #[test]
-    fn strengths_sum_weights() {
-        let mut g = DiGraph::with_nodes(3);
-        g.add_edge_weight(0, 1, 2.0).unwrap();
-        g.add_edge_weight(0, 2, 3.0).unwrap();
-        g.add_edge_weight(1, 0, 4.0).unwrap();
-        assert_eq!(g.out_strength(0), 5.0);
-        assert_eq!(g.in_strength(0), 4.0);
+    fn unknown_node_rejected() {
+        assert_eq!(
+            DiGraph::from_transitions(1, &[(0, 3)]).unwrap_err(),
+            Error::UnknownNode(3)
+        );
+        assert_eq!(
+            DiGraph::from_transitions(1, &[(0, 0), (7, 0)]).unwrap_err(),
+            Error::UnknownNode(7)
+        );
     }
 
     #[test]
-    fn edge_iteration_covers_all() {
-        let g = triangle();
-        let edges: Vec<EdgeRef> = g.edges().collect();
-        assert_eq!(edges.len(), 3);
-        assert!(edges.iter().all(|e| e.weight == 1.0));
-        assert_eq!(g.max_edge_weight(), 1.0);
+    fn from_edges_refuses_what_no_graph_holds() {
+        let index_of = |edges: &[(NodeId, NodeId, f64)]| match DiGraph::from_edges(3, edges) {
+            Err(Error::InvalidEdge { index, .. }) => index,
+            other => panic!("{edges:?} decoded: {other:?}"),
+        };
+        assert_eq!(index_of(&[(0, 1, 1.0), (0, 3, 1.0)]), 1);
+        assert_eq!(index_of(&[(5, 1, 1.0)]), 0);
+        assert_eq!(index_of(&[(0, 1, f64::NAN)]), 0);
+        assert_eq!(index_of(&[(0, 1, 1.0), (0, 2, f64::INFINITY)]), 1);
+        assert_eq!(index_of(&[(0, 1, -1.0)]), 0);
+        assert_eq!(index_of(&[(0, 2, 1.0), (0, 1, 1.0)]), 1);
+        assert_eq!(index_of(&[(1, 0, 1.0), (0, 2, 1.0)]), 1);
+        assert_eq!(index_of(&[(0, 1, 1.0), (0, 1, 1.0)]), 1);
+        // Decay can underflow a weight to zero; such a graph still loads.
+        let g = DiGraph::from_edges(3, &[(0, 1, 0.0), (2, 2, 4.0)]).unwrap();
+        assert_eq!(g.edge_weight(0, 1), Some(0.0));
+        assert_eq!(g.degree(2), 2);
+    }
+
+    #[test]
+    fn edges_round_trip_through_from_edges() {
+        let (g, _) = noisy();
+        let edges: Vec<_> = g.edges().map(|e| (e.from, e.to, e.weight)).collect();
+        let again = DiGraph::from_edges(g.node_count(), &edges).unwrap();
+        assert!(again.edges().eq(g.edges()));
+        assert_eq!(g.max_edge_weight(), 2.5);
     }
 
     #[test]
     fn out_edges_of_missing_node_is_empty() {
-        let g = triangle();
+        let (g, _) = noisy();
         assert_eq!(g.out_edges(99).count(), 0);
         assert_eq!(g.degree(99), 0);
+        assert_eq!(g.degree_factor(99), 0.0);
+        assert_eq!(g.edge_weight(99, 0), None);
+        assert_eq!(g.contribution(99, 0), 0.0);
+        let empty = DiGraph::from_transitions(0, &[]).unwrap();
+        assert!(empty.is_empty());
+        assert_eq!(empty.edges().count(), 0);
     }
 
     #[test]
-    fn connected_nodes_excludes_isolated() {
-        let mut g = DiGraph::with_nodes(5);
-        g.record_transition(1, 3).unwrap();
-        assert_eq!(g.connected_nodes(), vec![1, 3]);
+    fn reweight_matches_the_map_arithmetic() {
+        // (from, to, λ): an existing edge, a new edge, a new self-loop,
+        // λ = 0, a source with zero strength (node 4 has no out-edges),
+        // then an existing edge again on the reshaped rows.
+        let steps = [
+            (0, 2, 0.3),
+            (0, 4, 0.3),
+            (1, 1, 0.25),
+            (1, 0, 0.0),
+            (4, 0, 0.5),
+            (1, 3, 0.1),
+        ];
+        let (mut g, mut reference) = noisy();
+        reference.assert_matches(&g);
+        for (from, to, lambda) in steps {
+            let before = g.edge_count();
+            let applied = g.reweight_out_edge(from, to, lambda).unwrap();
+            reference.reweight(from, to, lambda);
+            reference.assert_matches(&g);
+            if lambda == 0.0 || from == 4 {
+                assert_eq!(applied, 0.0);
+                assert_eq!(g.edge_count(), before);
+            }
+        }
+        assert_eq!(g.edge_count(), 7);
     }
 
     #[test]
     fn reweight_preserves_out_strength_and_shifts_mass() {
-        let mut g = DiGraph::with_nodes(3);
-        g.add_edge_weight(0, 1, 6.0).unwrap();
-        g.add_edge_weight(0, 2, 2.0).unwrap();
+        let mut g = DiGraph::from_edges(3, &[(0, 1, 6.0), (0, 2, 2.0)]).unwrap();
         let before = g.out_strength(0);
         let applied = g.reweight_out_edge(0, 2, 0.25).unwrap();
         assert!((applied - 0.25 * 8.0).abs() < 1e-12);
-        // Out-strength is exactly preserved; mass moved from (0,1) to (0,2).
+        // Out-strength is preserved; mass moved from (0,1) to (0,2).
         assert!((g.out_strength(0) - before).abs() < 1e-12);
         assert!((g.edge_weight(0, 1).unwrap() - 4.5).abs() < 1e-12);
         assert!((g.edge_weight(0, 2).unwrap() - 3.5).abs() < 1e-12);
-        // The incoming adjacency mirrors the update.
-        assert!((g.in_strength(1) - 4.5).abs() < 1e-12);
-        assert!((g.in_strength(2) - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reweight_creates_new_edges_with_real_mass_only() {
-        let mut g = DiGraph::with_nodes(3);
-        g.add_edge_weight(0, 1, 4.0).unwrap();
-        // A previously unseen transition gains a real edge.
-        g.reweight_out_edge(0, 2, 0.5).unwrap();
-        assert!((g.edge_weight(0, 2).unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(g.degree(2), 1);
-        // A source with no outgoing mass stays untouched: no zero-weight
-        // edges are minted (they would silently change degrees).
-        g.reweight_out_edge(2, 0, 0.5).unwrap();
-        assert_eq!(g.edge_weight(2, 0), None);
-        assert_eq!(g.out_degree(2), 0);
-    }
-
-    #[test]
-    fn reweight_zero_lambda_is_bitwise_noop() {
-        let mut g = DiGraph::with_nodes(2);
-        g.add_edge_weight(0, 1, 0.1 + 0.2).unwrap(); // a value with noisy low bits
-        let before = g.edge_weight(0, 1).unwrap().to_bits();
-        assert_eq!(g.reweight_out_edge(0, 1, 0.0).unwrap(), 0.0);
-        assert_eq!(g.edge_weight(0, 1).unwrap().to_bits(), before);
-    }
-
-    #[test]
-    fn csr_reweight_patch_is_bit_identical_to_fresh_build() {
-        // Weights with noisy low bits, so a patched snapshot diverging from
-        // a rebuilt one by even a ulp would be caught.
-        let mut g = DiGraph::with_nodes(4);
-        g.add_edge_weight(0, 1, 0.1 + 0.2).unwrap();
-        g.add_edge_weight(0, 2, 1.0 / 3.0).unwrap();
-        g.add_edge_weight(1, 0, 0.7).unwrap();
-        let _ = g.csr(); // populate the cache so reweight patches it
-
-        // Existing-edge reweight: the cached view is patched in place.
-        g.reweight_out_edge(0, 2, 0.3).unwrap();
-        let fresh = crate::csr::CsrView::build(&g);
-        for from in 0..g.node_count() {
-            assert_eq!(
-                g.csr().degree_factor(from).to_bits(),
-                fresh.degree_factor(from).to_bits()
-            );
-            for to in 0..g.node_count() {
-                assert_eq!(
-                    g.csr().edge_weight(from, to).map(f64::to_bits),
-                    fresh.edge_weight(from, to).map(f64::to_bits),
-                    "patched view diverged at ({from}, {to})"
-                );
-            }
-        }
-
-        // Brand-new-edge reweight: degrees change, so the cache is dropped
-        // and rebuilt — values must still agree with the maps.
-        g.reweight_out_edge(0, 3, 0.3).unwrap();
-        assert_eq!(
-            g.csr().edge_weight(0, 3).map(f64::to_bits),
-            g.edge_weight(0, 3).map(f64::to_bits)
-        );
-        assert_eq!(g.csr().degree_factor(3).to_bits(), 0f64.to_bits());
-    }
-
-    #[test]
-    fn csr_cache_invalidated_by_every_mutation() {
-        let mut g = triangle();
-        assert_eq!(g.csr().edge_weight(0, 1), Some(1.0));
-        // record_transition (via add_edge_weight) drops the cache.
-        g.record_transition(0, 1).unwrap();
-        assert_eq!(g.csr().edge_weight(0, 1), Some(2.0));
-        // add_node grows the node range the view covers.
-        let n = g.add_node();
-        assert_eq!(g.csr().node_count(), 4);
-        assert_eq!(g.csr().degree_factor(n), 0.0);
-        // reweight_out_edge rewrites weights in place.
-        g.add_edge_weight(0, 2, 1.0).unwrap();
-        let before = g.csr().edge_weight(0, 1).unwrap();
-        g.reweight_out_edge(0, 2, 0.5).unwrap();
-        let after = g.csr().edge_weight(0, 1).unwrap();
-        assert!((after - before * 0.5).abs() < 1e-12);
-        assert_eq!(g.csr().edge_weight(0, 1), g.edge_weight(0, 1));
-        // A λ=0 reweight is a no-op and may keep the cache; values still match.
-        g.reweight_out_edge(0, 2, 0.0).unwrap();
-        assert_eq!(g.csr().edge_weight(0, 2), g.edge_weight(0, 2));
-        // Cloning carries a consistent cache along.
-        let clone = g.clone();
-        assert_eq!(clone.csr().edge_weight(0, 1), g.csr().edge_weight(0, 1));
     }
 
     #[test]
     fn reweight_rejects_bad_inputs() {
-        let mut g = DiGraph::with_nodes(2);
-        g.record_transition(0, 1).unwrap();
+        let mut g = DiGraph::from_transitions(2, &[(0, 1)]).unwrap();
         assert_eq!(g.reweight_out_edge(5, 1, 0.1), Err(Error::UnknownNode(5)));
         assert_eq!(g.reweight_out_edge(0, 5, 0.1), Err(Error::UnknownNode(5)));
         assert!(matches!(

@@ -77,12 +77,7 @@ mod tests {
     use super::*;
 
     fn sample() -> DiGraph {
-        let mut g = DiGraph::with_nodes(3);
-        for _ in 0..4 {
-            g.record_transition(0, 1).unwrap();
-        }
-        g.record_transition(1, 2).unwrap();
-        g
+        DiGraph::from_edges(4, &[(0, 1, 4.0), (1, 2, 1.0)]).unwrap()
     }
 
     #[test]
@@ -134,9 +129,7 @@ mod tests {
 
     #[test]
     fn isolated_nodes_are_omitted() {
-        let mut g = sample();
-        g.add_node(); // isolated
-        let dot = to_dot(&g, &DotOptions::default());
+        let dot = to_dot(&sample(), &DotOptions::default()); // node 3 is isolated
         assert!(!dot.contains("n3 ["));
     }
 }

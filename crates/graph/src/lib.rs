@@ -12,10 +12,10 @@
 //!
 //! This crate provides:
 //!
-//! * [`DiGraph`] — a compact directed multigraph with cumulative edge weights,
-//! * [`csr`] — a frozen compressed-sparse-row scoring snapshot ([`CsrView`])
-//!   cached on the graph and invalidated by mutation, which turns per-gap
-//!   edge lookups into binary searches over contiguous memory,
+//! * [`DiGraph`] — the transition graph, stored once as compressed sparse
+//!   rows with a precomputed per-node degree factor: the fit builds it from
+//!   transition counts, scoring reads it with a binary search per gap, and
+//!   online adaptation reweights one row in place,
 //! * [`normality`] — θ-Normality / θ-Anomaly subgraph extraction following
 //!   Definitions 3–5 of the paper,
 //! * [`dot`] — GraphViz export used by the figure harnesses for inspection.
@@ -23,12 +23,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod csr;
 pub mod digraph;
 pub mod dot;
 pub mod error;
 pub mod normality;
 
-pub use csr::CsrView;
 pub use digraph::{DiGraph, EdgeRef, NodeId};
 pub use error::{Error, Result};

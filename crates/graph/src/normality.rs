@@ -41,9 +41,11 @@ impl Subgraph {
 /// The "normality value" of an edge: `w(e) · (deg(source) − 1)`.
 ///
 /// This is the quantity compared against θ in Definition 3 and summed along
-/// paths by the normality score of Definition 9.
+/// paths by the normality score of Definition 9. It reads the graph's
+/// precomputed degree factor `(deg − 1).max(0)`; the source of an edge has
+/// degree ≥ 1, so the clamp never changes a value.
 pub fn edge_normality(graph: &DiGraph, edge: &EdgeRef) -> f64 {
-    edge.weight * (graph.degree(edge.from) as f64 - 1.0)
+    edge.weight * graph.degree_factor(edge.from)
 }
 
 /// Extracts the θ-Normality subgraph: every edge whose normality value is at
@@ -118,18 +120,11 @@ mod tests {
     /// Builds the toy graph of the paper's Figure 1-style example: a strongly
     /// connected "normal" cycle with heavy edges plus a weak anomalous detour.
     fn toy_graph() -> DiGraph {
-        let mut g = DiGraph::with_nodes(5);
         // Normal cycle 0 -> 1 -> 2 -> 0 traversed 10 times.
-        for _ in 0..10 {
-            g.record_transition(0, 1).unwrap();
-            g.record_transition(1, 2).unwrap();
-            g.record_transition(2, 0).unwrap();
-        }
+        let mut transitions = [(0, 1), (1, 2), (2, 0)].repeat(10);
         // Anomalous detour 1 -> 3 -> 4 -> 2 traversed once.
-        g.record_transition(1, 3).unwrap();
-        g.record_transition(3, 4).unwrap();
-        g.record_transition(4, 2).unwrap();
-        g
+        transitions.extend([(1, 3), (3, 4), (4, 2)]);
+        DiGraph::from_transitions(5, &transitions).unwrap()
     }
 
     #[test]

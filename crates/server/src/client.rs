@@ -227,11 +227,13 @@ fn jitter() -> u64 {
     x
 }
 
+/// Socket read and write timeout of every request.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// A blocking client addressing one `s2g-server` instance.
 #[derive(Debug, Clone)]
 pub struct Client {
     addr: String,
-    timeout: Duration,
     /// When set, [`Client::request_ok`] retries unavailability responses
     /// for idempotent requests under this policy.
     retry: Option<RetryPolicy>,
@@ -247,16 +249,9 @@ impl Client {
     pub fn new(addr: impl Into<String>) -> Client {
         Client {
             addr: addr.into(),
-            timeout: Duration::from_secs(60),
             retry: None,
             pooled: Arc::new(Mutex::new(None)),
         }
-    }
-
-    /// Sets the per-request socket timeout (default 60 s).
-    pub fn with_timeout(mut self, timeout: Duration) -> Client {
-        self.timeout = timeout;
-        self
     }
 
     /// Enables automatic retries of `429`/`503` responses for idempotent
@@ -331,8 +326,8 @@ impl Client {
         target: &str,
         body: &[u8],
     ) -> Result<(ClientResponse, Option<TcpStream>), ClientError> {
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
+        stream.set_read_timeout(Some(REQUEST_TIMEOUT))?;
+        stream.set_write_timeout(Some(REQUEST_TIMEOUT))?;
         // One write per request (and no Nagle): on a reused connection a
         // separate body segment would wait out the server's delayed ACK.
         let _ = stream.set_nodelay(true);

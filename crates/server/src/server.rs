@@ -513,11 +513,6 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.shared.trigger_shutdown();
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -31,63 +31,6 @@ pub fn moving_average(xs: &[f64], w: usize) -> Vec<f64> {
     out
 }
 
-/// Trailing (causal) moving average: each output point only looks at the `w`
-/// most recent values. Useful for streaming-style scoring.
-pub fn trailing_moving_average(xs: &[f64], w: usize) -> Vec<f64> {
-    if xs.is_empty() || w <= 1 {
-        return xs.to_vec();
-    }
-    let mut out = Vec::with_capacity(xs.len());
-    let mut acc = 0.0;
-    for i in 0..xs.len() {
-        acc += xs[i];
-        if i >= w {
-            acc -= xs[i - w];
-        }
-        let count = (i + 1).min(w) as f64;
-        out.push(acc / count);
-    }
-    out
-}
-
-/// Exponentially weighted moving average with smoothing factor `alpha` in `(0, 1]`.
-pub fn ewma(xs: &[f64], alpha: f64) -> Vec<f64> {
-    let alpha = alpha.clamp(f64::EPSILON, 1.0);
-    let mut out = Vec::with_capacity(xs.len());
-    let mut state: Option<f64> = None;
-    for &x in xs {
-        let next = match state {
-            None => x,
-            Some(prev) => alpha * x + (1.0 - alpha) * prev,
-        };
-        out.push(next);
-        state = Some(next);
-    }
-    out
-}
-
-/// Simple median filter of odd width `w` (width is rounded up to odd).
-/// Robust alternative to [`moving_average`] used in ablation experiments.
-pub fn median_filter(xs: &[f64], w: usize) -> Vec<f64> {
-    if xs.is_empty() || w <= 1 {
-        return xs.to_vec();
-    }
-    let w = if w.is_multiple_of(2) { w + 1 } else { w };
-    let half = w / 2;
-    let n = xs.len();
-    let mut out = Vec::with_capacity(n);
-    let mut buf: Vec<f64> = Vec::with_capacity(w);
-    for i in 0..n {
-        let lo = i.saturating_sub(half);
-        let hi = (i + half + 1).min(n);
-        buf.clear();
-        buf.extend_from_slice(&xs[lo..hi]);
-        buf.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        out.push(buf[buf.len() / 2]);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,39 +73,5 @@ mod tests {
         for w in [2, 3, 10, 101, 200] {
             assert_eq!(moving_average(&xs, w).len(), xs.len());
         }
-    }
-
-    #[test]
-    fn trailing_average_is_causal() {
-        let xs = vec![0.0, 0.0, 0.0, 9.0];
-        let out = trailing_moving_average(&xs, 3);
-        // The spike at index 3 must not leak into earlier outputs.
-        assert_eq!(out[0], 0.0);
-        assert_eq!(out[1], 0.0);
-        assert_eq!(out[2], 0.0);
-        assert!(out[3] > 0.0);
-    }
-
-    #[test]
-    fn ewma_converges_to_constant() {
-        let xs = vec![5.0; 50];
-        let out = ewma(&xs, 0.3);
-        assert!((out.last().unwrap() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ewma_first_value_passthrough() {
-        let out = ewma(&[3.0, 10.0], 0.5);
-        assert_eq!(out[0], 3.0);
-        assert_eq!(out[1], 6.5);
-    }
-
-    #[test]
-    fn median_filter_removes_spike() {
-        let mut xs = vec![1.0; 21];
-        xs[10] = 100.0;
-        let out = median_filter(&xs, 5);
-        assert_eq!(out[10], 1.0);
-        assert_eq!(out.len(), xs.len());
     }
 }

@@ -56,11 +56,6 @@ impl TimeSeries {
         &self.values
     }
 
-    /// Mutable view of the underlying values.
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     /// Consumes the series and returns the underlying vector.
     pub fn into_vec(self) -> Vec<f64> {
         self.values
@@ -69,11 +64,6 @@ impl TimeSeries {
     /// Appends a point at the end of the series.
     pub fn push(&mut self, value: f64) {
         self.values.push(value);
-    }
-
-    /// Appends all points of `other` at the end of the series.
-    pub fn extend_from(&mut self, other: &TimeSeries) {
-        self.values.extend_from_slice(other.values());
     }
 
     /// Returns the point at offset `i`, or `None` past the end.
@@ -154,16 +144,6 @@ impl TimeSeries {
         let mut v = Vec::with_capacity(self.len() + other.len());
         v.extend_from_slice(self.values());
         v.extend_from_slice(other.values());
-        TimeSeries::from(v)
-    }
-
-    /// Repeats the series `times` times back to back (used to build the long
-    /// concatenated scalability datasets of the paper's Figure 9).
-    pub fn tile(&self, times: usize) -> TimeSeries {
-        let mut v = Vec::with_capacity(self.len() * times);
-        for _ in 0..times {
-            v.extend_from_slice(self.values());
-        }
         TimeSeries::from(v)
     }
 }
@@ -260,11 +240,10 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_tile() {
+    fn concat_appends_the_second_series() {
         let a = TimeSeries::from(vec![1.0, 2.0]);
         let b = TimeSeries::from(vec![3.0]);
         assert_eq!(a.concat(&b).values(), &[1.0, 2.0, 3.0]);
-        assert_eq!(b.tile(3).values(), &[3.0, 3.0, 3.0]);
     }
 
     #[test]

@@ -31,16 +31,6 @@ impl<'a> SlidingWindows<'a> {
         }
     }
 
-    /// Creates a sliding-window iterator over a raw slice.
-    pub fn over_slice(values: &'a [f64], window: usize) -> Self {
-        Self {
-            values,
-            window,
-            step: 1,
-            pos: 0,
-        }
-    }
-
     /// The window length.
     pub fn window(&self) -> usize {
         self.window

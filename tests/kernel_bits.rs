@@ -6,13 +6,17 @@
 //! * node assignment: the outward angular search from the closest ray,
 //!   computing each ray's unit vector per call;
 //! * streaming: `Embedding::project_slice` on every newest window and an
-//!   in-order re-sum of the contribution deque on every push.
+//!   in-order re-sum of the contribution deque on every push;
+//! * the graph: outgoing and incoming `BTreeMap` adjacencies accumulated one
+//!   transition at a time, reweighted with the map arithmetic, and read as
+//!   `w · (deg − 1).max(0)` from the map lengths.
 //!
 //! Inputs stay small: this runs under the debug profile.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::f64::consts::TAU;
 
+use s2g_adapt::{AdaptConfig, AdaptiveScorer};
 use s2g_core::edges::EdgeExtraction;
 use s2g_core::nodes::NodeSet;
 use s2g_core::{scoring, S2gConfig, Series2Graph, StreamingScorer};
@@ -77,16 +81,78 @@ fn naive_assign(nodes: &NodeSet, point: Vec2) -> Option<usize> {
     None
 }
 
+/// Reference transition graph: outgoing and incoming adjacency maps.
+struct MapGraph {
+    out_edges: Vec<BTreeMap<usize, f64>>,
+    in_edges: Vec<BTreeMap<usize, f64>>,
+}
+
+impl MapGraph {
+    /// Accumulates the model's training trajectory one transition at a
+    /// time, assigning each point with the reference assignment.
+    fn of_training(model: &Series2Graph) -> Self {
+        let n = model.node_count();
+        let mut graph = MapGraph {
+            out_edges: vec![BTreeMap::new(); n],
+            in_edges: vec![BTreeMap::new(); n],
+        };
+        let nodes: Vec<usize> = model
+            .embedding()
+            .points
+            .iter()
+            .filter_map(|&p| naive_assign(model.node_set(), p))
+            .collect();
+        for w in nodes.windows(2) {
+            graph.add(w[0], w[1], 1.0);
+        }
+        graph
+    }
+
+    fn add(&mut self, from: usize, to: usize, weight: f64) {
+        *self.out_edges[from].entry(to).or_insert(0.0) += weight;
+        *self.in_edges[to].entry(from).or_insert(0.0) += weight;
+    }
+
+    fn edge_count(&self) -> usize {
+        self.out_edges.iter().map(BTreeMap::len).sum()
+    }
+
+    fn contribution(&self, from: usize, to: usize) -> f64 {
+        let degree = self.out_edges[from].len() + self.in_edges[from].len();
+        let weight = self.out_edges[from].get(&to).copied().unwrap_or(0.0);
+        weight * (degree as f64 - 1.0).max(0.0)
+    }
+
+    /// Decays every out-edge of `from` by `1 − λ` and adds the freed mass
+    /// to `from -> to`, mirrored into the incoming maps.
+    fn reweight(&mut self, from: usize, to: usize, lambda: f64) {
+        let strength: f64 = self.out_edges[from].values().sum();
+        if strength <= 0.0 {
+            return;
+        }
+        let (retain, reinforcement) = (1.0 - lambda, lambda * strength);
+        let targets: Vec<usize> = self.out_edges[from].keys().copied().collect();
+        for target in targets {
+            *self.out_edges[from].get_mut(&target).unwrap() *= retain;
+            *self.in_edges[target].get_mut(&from).unwrap() *= retain;
+        }
+        self.add(from, to, reinforcement);
+    }
+}
+
 /// Reference `anomaly_scores` of an unseen series, built from the naive
-/// projection and assignment.
+/// projection, assignment and graph.
 fn naive_anomaly_scores(model: &Series2Graph, values: &[f64], query_length: usize) -> Vec<f64> {
     let ell = model.pattern_length();
     let nodes: Vec<usize> = naive_project(model, values)
         .into_iter()
         .filter_map(|p| naive_assign(model.node_set(), p))
         .collect();
-    let transitions: Vec<(usize, usize)> = nodes.windows(2).map(|w| (w[0], w[1])).collect();
-    let contributions = scoring::gap_contributions(model.graph(), &transitions);
+    let graph = MapGraph::of_training(model);
+    let contributions: Vec<f64> = nodes
+        .windows(2)
+        .map(|w| graph.contribution(w[0], w[1]))
+        .collect();
     let mut profile = scoring::normality_profile(&contributions, ell, query_length);
     if model.config().smooth_scores {
         profile = scoring::smooth_profile(&profile, ell);
@@ -98,6 +164,7 @@ fn naive_anomaly_scores(model: &Series2Graph, values: &[f64], query_length: usiz
 /// `project_slice` and re-sums the whole contribution deque in order.
 struct NaiveStream {
     model: Series2Graph,
+    graph: MapGraph,
     query_length: usize,
     values: Vec<f64>,
     contributions: VecDeque<f64>,
@@ -108,6 +175,7 @@ struct NaiveStream {
 impl NaiveStream {
     fn new(model: Series2Graph, query_length: usize) -> Self {
         Self {
+            graph: MapGraph::of_training(&model),
             model,
             query_length,
             values: Vec::new(),
@@ -136,7 +204,7 @@ impl NaiveStream {
                 let contribution = match (self.last_node, node) {
                     (Some(prev), Some(current)) => {
                         self.last_transition = Some((prev, current));
-                        self.model.graph().csr().contribution(prev, current)
+                        self.graph.contribution(prev, current)
                     }
                     _ => {
                         self.last_transition = None;
@@ -201,7 +269,13 @@ fn assert_bits_eq(fast: &[f64], naive: &[f64], what: &str) {
 /// Streams `values` through both scorers in random chunks; when `lambda`
 /// is set, both reweight the transition completed by the last push of
 /// every chunk, so adapted (non-integer) contributions enter the window.
-fn assert_stream_eq(model: &Series2Graph, values: &[f64], query_length: usize, lambda: f64) {
+/// Returns how many of those reweights inserted a new edge.
+fn assert_stream_eq(
+    model: &Series2Graph,
+    values: &[f64],
+    query_length: usize,
+    lambda: f64,
+) -> usize {
     let what = format!(
         "stream ℓ={} ℓq={query_length} λ={lambda}",
         model.pattern_length()
@@ -211,6 +285,7 @@ fn assert_stream_eq(model: &Series2Graph, values: &[f64], query_length: usize, l
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ query_length as u64);
     let mut rest = values;
     let mut emitted = 0;
+    let mut inserted = 0;
     while !rest.is_empty() {
         let take = (1 + rng.below(97)).min(rest.len());
         let (chunk, tail) = rest.split_at(take);
@@ -228,13 +303,18 @@ fn assert_stream_eq(model: &Series2Graph, values: &[f64], query_length: usize, l
         emitted += got.len();
         assert_eq!(fast.last_transition(), naive.last_transition, "{what}");
         if lambda > 0.0 {
+            let edges = fast.model().graph().edge_count();
             fast.reweight_last_transition(lambda).unwrap();
             if let Some((from, to)) = naive.last_transition {
-                naive.model.reweight_transition(from, to, lambda).unwrap();
+                naive.graph.reweight(from, to, lambda);
             }
+            let grown = fast.model().graph().edge_count();
+            assert_eq!(grown, naive.graph.edge_count(), "{what}: edge count");
+            inserted += grown - edges;
         }
     }
     assert_eq!(emitted, values.len() + 1 - query_length, "{what}");
+    inserted
 }
 
 #[test]
@@ -294,8 +374,34 @@ fn pristine_streams_match_the_reference() {
 fn adapted_streams_match_the_reference() {
     let model = fit(50);
     let stream = signal(1_100, 75.0, 650);
+    let mut inserted = 0;
     for query_length in [50, 150] {
-        assert_stream_eq(&model, &stream, query_length, 0.1);
+        inserted += assert_stream_eq(&model, &stream, query_length, 0.1);
+    }
+    assert!(inserted > 0, "no reweight inserted a new edge");
+}
+
+#[test]
+fn lambda_zero_adaptation_matches_the_frozen_stream() {
+    let model = fit(50);
+    let stream = signal(1_100, 75.0, 650);
+    let reference = StreamingScorer::new(model.clone(), 150)
+        .unwrap()
+        .push_batch(&stream)
+        .unwrap();
+    let config = AdaptConfig::default().with_lambda(0.0);
+    let mut adaptive = AdaptiveScorer::new(model, 150, config, 0).unwrap();
+    let mut rng = Rng(0xD1B5_4A32_D192_ED03);
+    let (mut emitted, mut rest) = (Vec::new(), &stream[..]);
+    while !rest.is_empty() {
+        let (chunk, tail) = rest.split_at((1 + rng.below(97)).min(rest.len()));
+        rest = tail;
+        emitted.extend(adaptive.push_batch(chunk).unwrap().emitted);
+    }
+    assert_eq!((adaptive.updates(), adaptive.refits()), (0, 0));
+    assert_eq!(emitted.len(), reference.len());
+    for ((gs, gv), (ws, wv)) in emitted.iter().zip(&reference) {
+        assert_eq!((gs, gv.to_bits()), (ws, wv.to_bits()), "window {gs}");
     }
 }
 
