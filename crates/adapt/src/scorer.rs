@@ -136,11 +136,6 @@ impl AdaptiveScorer {
         self.refits
     }
 
-    /// The normality value a window must reach to be confirmed-normal.
-    pub fn normal_threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// Current drift statistics.
     pub fn drift_stats(&self) -> DriftStats {
         self.drift.stats()

@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use s2g_timeseries::{filter, normalize, TimeSeries};
+use s2g_timeseries::TimeSeries;
 
 use crate::error::{Error, Result};
 
@@ -245,16 +245,6 @@ pub fn forecast_anomaly_scores(
     ForecastDetector::fit(series, params)?.anomaly_scores(series, window)
 }
 
-/// Smooths a pointwise error profile (utility shared with examples/benches).
-pub fn smooth_errors(errors: &[f64], window: usize) -> Vec<f64> {
-    filter::moving_average(errors, window)
-}
-
-/// Re-export used by tests and by the harness to sanity-check normalisation.
-pub fn znormalize_for_tests(xs: &[f64]) -> Vec<f64> {
-    normalize::znormalize(xs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,12 +339,5 @@ mod tests {
         let errors = det.pointwise_errors(&series);
         assert!(errors[..det.params.context].iter().all(|&e| e == 0.0));
         assert_eq!(errors.len(), 1000);
-    }
-
-    #[test]
-    fn smoothing_helper_preserves_length() {
-        let errors = vec![0.0, 1.0, 0.0, 5.0, 0.0];
-        assert_eq!(smooth_errors(&errors, 3).len(), 5);
-        assert_eq!(znormalize_for_tests(&[1.0, 2.0, 3.0]).len(), 3);
     }
 }

@@ -4,7 +4,7 @@ use std::str::FromStr;
 use std::time::Instant;
 
 use s2g_core::{S2gConfig, Series2Graph};
-use s2g_datasets::{Dataset, LabeledSeries};
+use s2g_datasets::LabeledSeries;
 use s2g_eval::detector::{
     Dad, Detector, DetectorInput, GrammarViz, IsolationForest, Lof, LstmAd, ScoreProfile, Stomp,
 };
@@ -137,20 +137,6 @@ pub fn evaluate(
         k,
         series_len: data.len(),
     })
-}
-
-/// Generates a dataset at `scale` of its Table 2 length and evaluates a method
-/// on it. The anomaly length `ℓ_A` of the dataset spec is used as the window.
-pub fn evaluate_scaled(
-    dataset: Dataset,
-    method: &dyn Detector,
-    scale: f64,
-    seed: u64,
-) -> Result<EvalOutcome, String> {
-    let spec = dataset.spec();
-    let length = ((spec.length as f64) * scale).round() as usize;
-    let data = dataset.generate_with_length(length.max(spec.anomaly_length * 4), seed);
-    evaluate(&data, method, spec.anomaly_length)
 }
 
 /// Times only the score computation of a method (no accuracy evaluation),
@@ -308,22 +294,6 @@ mod tests {
             "S2G should find most clean SRW anomalies, got {}",
             outcome.accuracy
         );
-    }
-
-    #[test]
-    fn evaluate_scaled_respects_scale() {
-        let outcome = evaluate_scaled(
-            Dataset::Srw {
-                num_anomalies: 3,
-                noise_ratio: 0.0,
-                anomaly_length: 100,
-            },
-            &Stomp,
-            0.05,
-            2,
-        )
-        .unwrap();
-        assert_eq!(outcome.series_len, 5_000);
     }
 
     #[test]

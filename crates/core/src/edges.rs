@@ -160,12 +160,17 @@ mod tests {
         let nodes = NodeSet::extract(&points, &cfg).unwrap();
         let ext = EdgeExtraction::extract(&points, &nodes).unwrap();
 
-        let positions = nodes.node_positions();
+        let mut radius = vec![0.0; nodes.node_count()];
+        for ray in 0..nodes.rate() {
+            for (rank, &r) in nodes.ray_nodes(ray).iter().enumerate() {
+                radius[nodes.node_id(ray, rank)] = r;
+            }
+        }
         let mut inner_min = f64::INFINITY;
         let mut outer_max: f64 = 0.0;
         for e in ext.graph.edges() {
-            let src_radius = positions[e.from].1;
-            let dst_radius = positions[e.to].1;
+            let src_radius = radius[e.from];
+            let dst_radius = radius[e.to];
             if src_radius > 3.0 || dst_radius > 3.0 {
                 outer_max = outer_max.max(e.weight);
             } else {

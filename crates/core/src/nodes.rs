@@ -234,18 +234,6 @@ impl NodeSet {
         let ray = self.resolved[base_ray];
         self.nearest_node(ray, point.dot(&self.units[ray]))
     }
-
-    /// Returns `(ray, radius)` for every node, ordered by global node id.
-    /// Useful for plotting / exporting the graph geometry.
-    pub fn node_positions(&self) -> Vec<(usize, f64)> {
-        let mut out = Vec::with_capacity(self.total);
-        for (ray, radii) in self.radii.iter().enumerate() {
-            for &r in radii {
-                out.push((ray, r));
-            }
-        }
-        out
-    }
 }
 
 /// Runs the KDE + local-maxima extraction for one radius set.
@@ -388,8 +376,8 @@ mod tests {
         let mut points = circle_points(1.0, 5, 100);
         points.extend(circle_points(3.0, 5, 100));
         let nodes = NodeSet::extract(&points, &S2gConfig::new(50).with_rate(12)).unwrap();
-        let positions = nodes.node_positions();
-        assert_eq!(positions.len(), nodes.node_count());
+        let per_ray: usize = (0..12).map(|r| nodes.ray_nodes(r).len()).sum();
+        assert_eq!(per_ray, nodes.node_count());
         // ids from node_id() must cover 0..node_count exactly once.
         let mut seen = vec![false; nodes.node_count()];
         for (ray, radii) in (0..12).map(|r| (r, nodes.ray_nodes(r))) {

@@ -21,11 +21,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
     mean + std * standard_normal(rng)
 }
 
-/// Generates `n` samples of white Gaussian noise with standard deviation `std`.
-pub fn gaussian_noise<R: Rng + ?Sized>(rng: &mut R, n: usize, std: f64) -> Vec<f64> {
-    (0..n).map(|_| standard_normal(rng) * std).collect()
-}
-
 /// Generates a Gaussian random walk of `n` points with per-step standard
 /// deviation `step_std`, starting at 0.
 pub fn random_walk<R: Rng + ?Sized>(rng: &mut R, n: usize, step_std: f64) -> Vec<f64> {
@@ -169,8 +164,8 @@ mod tests {
 
     #[test]
     fn determinism_per_seed() {
-        let a: Vec<f64> = gaussian_noise(&mut StdRng::seed_from_u64(9), 50, 1.0);
-        let b: Vec<f64> = gaussian_noise(&mut StdRng::seed_from_u64(9), 50, 1.0);
+        let a: Vec<f64> = random_walk(&mut StdRng::seed_from_u64(9), 50, 1.0);
+        let b: Vec<f64> = random_walk(&mut StdRng::seed_from_u64(9), 50, 1.0);
         assert_eq!(a, b);
     }
 }

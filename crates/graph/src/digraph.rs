@@ -189,11 +189,6 @@ impl DiGraph {
             .map(|i| self.weights[row.start + i])
     }
 
-    /// Out-degree of a node: number of distinct outgoing edges.
-    pub fn out_degree(&self, node: NodeId) -> usize {
-        self.row(node).len()
-    }
-
     /// Total degree `deg(N)`: number of distinct edges adjacent to the node
     /// (incoming plus outgoing), as used by the normality score
     /// `w(e)·(deg(N)−1)`.
@@ -440,7 +435,7 @@ mod tests {
         assert_eq!(g.edge_weight(0, 1), Some(2.0));
         assert_eq!(g.edge_weight(1, 0), None);
         assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.out_degree(0), 2);
+        assert_eq!(g.out_edges(0).count(), 2);
         assert_eq!(g.degree(0), 3);
         assert_eq!(g.degree(1), 1);
         assert_eq!(g.degree(3), 1);
@@ -451,7 +446,7 @@ mod tests {
     #[test]
     fn self_loop_counts_in_both_directions() {
         let g = DiGraph::from_transitions(1, &[(0, 0)]).unwrap();
-        assert_eq!(g.out_degree(0), 1);
+        assert_eq!(g.out_edges(0).count(), 1);
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.edge_weight(0, 0), Some(1.0));
     }

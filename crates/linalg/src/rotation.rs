@@ -9,7 +9,6 @@
 //! crate uses the Rodrigues form and the per-axis form is kept for parity
 //! with the paper's notation and for the ablation benchmarks.
 
-use crate::matrix::DMatrix;
 use crate::vector::Vec3;
 
 /// A 3×3 rotation matrix.
@@ -115,17 +114,6 @@ impl Rotation3 {
         Rotation3 { m: out }
     }
 
-    /// Returns the rotation as a 3×3 [`DMatrix`].
-    pub fn to_matrix(&self) -> DMatrix {
-        let mut m = DMatrix::zeros(3, 3);
-        for i in 0..3 {
-            for j in 0..3 {
-                m.set(i, j, self.m[i][j]);
-            }
-        }
-        m
-    }
-
     /// Raw element accessor.
     pub fn get(&self, i: usize, j: usize) -> f64 {
         self.m[i][j]
@@ -159,26 +147,10 @@ pub fn align_to_x_axis(v_ref: Vec3) -> Rotation3 {
     Rotation3::from_axis_angle(axis, angle)
 }
 
-/// Builds the paper's composed per-axis rotation `R_ux(φx)·R_uy(φy)·R_uz(φz)`
-/// from the angles between `v_ref` and the three coordinate axes.
-///
-/// This mirrors Algorithm 1 lines 11–12 literally. Note that composing
-/// per-axis rotations from independent angles does not, in general, map
-/// `v_ref` exactly onto the x-axis (the axis–angle construction in
-/// [`align_to_x_axis`] does); it is retained for completeness and ablation.
-pub fn per_axis_rotation(v_ref: Vec3) -> Rotation3 {
-    let phi_x = v_ref.angle_to(&Vec3::unit_x());
-    let phi_y = v_ref.angle_to(&Vec3::unit_y());
-    let phi_z = v_ref.angle_to(&Vec3::unit_z());
-    Rotation3::about_x(phi_x)
-        .compose(&Rotation3::about_y(phi_y))
-        .compose(&Rotation3::about_z(phi_z))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::{FRAC_PI_2, PI};
+    use std::f64::consts::FRAC_PI_2;
 
     fn assert_vec_close(a: Vec3, b: Vec3, eps: f64) {
         assert!((a - b).norm() < eps, "{a:?} != {b:?}");
@@ -266,8 +238,10 @@ mod tests {
     }
 
     #[test]
-    fn per_axis_rotation_is_orthonormal() {
-        let r = per_axis_rotation(Vec3::new(1.0, 2.0, 3.0));
+    fn composed_axis_rotations_are_orthonormal() {
+        let r = Rotation3::about_x(0.3)
+            .compose(&Rotation3::about_y(1.1))
+            .compose(&Rotation3::about_z(-0.7));
         // R Rᵀ = I
         let rt = r.inverse();
         let prod = r.compose(&rt);
@@ -275,17 +249,6 @@ mod tests {
             for j in 0..3 {
                 let expected = if i == j { 1.0 } else { 0.0 };
                 assert!((prod.get(i, j) - expected).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn to_matrix_matches_elements() {
-        let r = Rotation3::about_z(PI / 3.0);
-        let m = r.to_matrix();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(m.get(i, j), r.get(i, j));
             }
         }
     }

@@ -157,11 +157,6 @@ impl Vec3 {
             xs.get(2).copied().unwrap_or(0.0),
         )
     }
-
-    /// Returns the components as an array.
-    pub fn to_array(&self) -> [f64; 3] {
-        [self.x, self.y, self.z]
-    }
 }
 
 impl std::ops::Sub for Vec3 {
@@ -263,6 +258,5 @@ mod tests {
         assert_eq!(a + b, Vec3::new(2.0, 3.0, 4.0));
         assert_eq!(a - b, Vec3::new(0.0, 1.0, 2.0));
         assert_eq!(b * 3.0, Vec3::new(3.0, 3.0, 3.0));
-        assert_eq!(a.to_array(), [1.0, 2.0, 3.0]);
     }
 }

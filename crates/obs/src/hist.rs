@@ -8,11 +8,15 @@
 //!
 //! Histograms are mergeable: shard-local recording followed by
 //! [`Histogram::merge_from`] is count-exact against recording into a single
-//! shared histogram (the merge test in `tests/` pins this down). Quantiles
-//! are computed from a [`HistogramSnapshot`], so one scrape renders p50,
-//! p95 and p99 from the same consistent view.
+//! shared histogram (the merge test in `tests/` pins this down).
+//! [`Histogram::snapshot`] freezes one into the only frozen form, the
+//! sparse [`CompactHistogram`], so one scrape renders p50, p95 and p99
+//! from the same consistent view, and the flight recorder retains exactly
+//! what a scrape reads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::recorder::CompactHistogram;
 
 /// Number of buckets: value `0`, value `1`, then two sub-buckets for each
 /// of the 63 remaining powers of two (`2*63 + 2 = 128`).
@@ -137,103 +141,25 @@ impl Histogram {
             .fetch_max(src.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of the bucket counts for consistent rendering.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets: [u64; BUCKETS] =
-            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
-        let count: u64 = buckets.iter().sum();
-        HistogramSnapshot {
-            buckets,
-            count,
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Convenience: quantile computed from a fresh snapshot. For several
-    /// quantiles of one scrape, take one [`Histogram::snapshot`] instead.
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.snapshot().quantile(q)
-    }
-}
-
-/// Frozen bucket counts of a [`Histogram`], used for quantile rendering.
-#[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
-    buckets: [u64; BUCKETS],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl HistogramSnapshot {
-    /// Number of values in the snapshot.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of values at snapshot time (wrapping).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Exact maximum at snapshot time.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean of recorded values, `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The `q`-quantile (`0.0 ..= 1.0`) as the inclusive upper bound of
-    /// the bucket holding the nearest-rank element; `0` when empty. The
-    /// exact recorded maximum caps the answer, so `quantile(1.0) == max`.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Nearest-rank: the smallest rank r with r >= q * count, at least 1.
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return bucket_upper_bound(i).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Non-empty buckets as `(bucket index, count)` pairs — the sparse
-    /// shape the flight recorder retains (see [`crate::recorder`]).
-    pub fn sparse_buckets(&self) -> Vec<(usize, u64)> {
-        self.buckets
+    /// A point-in-time freeze of the non-empty buckets and the scalar
+    /// tails; `count` is the sum of the frozen buckets, so quantiles of
+    /// the freeze are self-consistent even while other threads record.
+    pub fn snapshot(&self) -> CompactHistogram {
+        let buckets: Vec<(usize, u64)> = self
+            .buckets
             .iter()
             .enumerate()
-            .filter(|(_, &n)| n != 0)
-            .map(|(i, &n)| (i, n))
-            .collect()
-    }
-
-    /// Non-empty buckets as `(inclusive upper bound, cumulative count)`
-    /// pairs — the shape Prometheus `_bucket{le=...}` lines want.
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut cum = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n != 0 {
-                cum += n;
-                out.push((bucket_upper_bound(i), cum));
-            }
+            .filter_map(|(i, b)| {
+                let n = b.load(Ordering::Relaxed);
+                (n != 0).then_some((i, n))
+            })
+            .collect();
+        CompactHistogram {
+            count: buckets.iter().map(|&(_, n)| n).sum(),
+            sum: self.sum.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
+            buckets,
         }
-        out
     }
 }
 
@@ -274,8 +200,8 @@ mod tests {
             h.record(v);
         }
         let snap = h.snapshot();
-        assert_eq!(snap.count(), 1000);
-        assert_eq!(snap.max(), 1000);
+        assert_eq!(snap.count, 1000);
+        assert_eq!(snap.max, 1000);
         let p50 = snap.quantile(0.5);
         // Log-bucket overestimate is bounded by half an octave.
         assert!((500..=767).contains(&p50), "p50 = {p50}");

@@ -23,10 +23,13 @@
 //!   transitions and warn/error log lines streamed by a shedding writer
 //!   thread into append-only, checksummed, size-bounded segment files
 //!   that survive `kill -9`, plus atomic panic postmortems;
-//! * [`Obs`] — the process-wide instrument registry the layers share: one
-//!   histogram per stage (request-per-route, fit, score, pool queue-wait,
-//!   pool execute, store fault, store write, adaptation push), the trace
-//!   sink, and the trace-id mint.
+//! * [`Obs`] — the instruments the engine, worker pool and model store
+//!   record into: one histogram per stage (fit, score, pool queue-wait,
+//!   pool execute, store fault, store write, adaptation push, listed once
+//!   by [`Obs::stages`]), the trace sink, the in-flight traces and the
+//!   trace-id mint. Request counters, per-route latency and gauges belong
+//!   to the server, whose instrument registry (`crates/server/src/
+//!   metrics.rs`) declares each route, counter and gauge once.
 //!
 //! The cardinal rule: **observability never perturbs outputs**. Recording
 //! is wait-free on the hot path, and every instrument is behind an
@@ -37,15 +40,15 @@
 //! ```
 //! use s2g_obs::Obs;
 //!
-//! let obs = Obs::new(&["POST /models/{name}/score"], &["GET /metrics"]);
+//! let obs = Obs::new();
 //! obs.score.record_duration(std::time::Duration::from_micros(250));
-//! obs.request("POST /models/{name}/score").record(1_500_000);
+//! assert_eq!(obs.score.snapshot().count, 1);
 //! let trace = obs.start_trace();
 //! let root = trace.begin("request", None);
 //! root.finish();
 //! let (finished, _slow) = obs
 //!     .traces
-//!     .finish(&trace, "POST /models/{name}/score", 200, 1_500_000);
+//!     .finish(&trace, "GET /example", 200, 1_500_000);
 //! assert_eq!(finished.spans.len(), 1);
 //! ```
 
@@ -59,7 +62,7 @@ pub mod recorder;
 pub mod trace;
 pub mod watch;
 
-pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
+pub use hist::{Histogram, BUCKETS};
 pub use journal::{
     Journal, JournalConfig, JournalEvent, JournalStats, LogEvent, PanicEvent, SampleEvent,
     SegmentData, SegmentMeta, TraceEvent, WatchEvent,
@@ -89,56 +92,11 @@ pub mod clock {
     }
 }
 
-/// A fixed set of histograms keyed by a small, pre-registered label set
-/// (normalised route patterns). Lookup is a linear scan over `&'static
-/// str` keys — at the dozen-route cardinality this stays cheaper than any
-/// hash — and unknown keys fall back to a catch-all `(other)` entry, so
-/// recording can never allocate or fail.
-#[derive(Debug)]
-pub struct Family {
-    entries: Vec<(&'static str, Histogram)>,
-    other: Histogram,
-}
-
-impl Family {
-    /// A family with one histogram per pre-registered key.
-    pub fn new(keys: &[&'static str]) -> Self {
-        Family {
-            entries: keys.iter().map(|&k| (k, Histogram::new())).collect(),
-            other: Histogram::new(),
-        }
-    }
-
-    /// The histogram for `key`, or the catch-all when unregistered.
-    pub fn get(&self, key: &str) -> &Histogram {
-        self.entries
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, h)| h)
-            .unwrap_or(&self.other)
-    }
-
-    /// Iterates `(key, histogram)` pairs, the catch-all last (keyed
-    /// `(other)` if it recorded anything).
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
-        self.entries
-            .iter()
-            .map(|(k, h)| (*k, h))
-            .chain((self.other.count() > 0).then_some(("(other)", &self.other)))
-    }
-}
-
-/// The process-wide instrument registry shared by server, engine, worker
-/// pool and model store (one per server; attached via
-/// `Engine::attach_obs` / `ModelStore::attach_obs`).
+/// The stage instruments shared by server, engine, worker pool and model
+/// store (one per server; attached via `Engine::attach_obs` /
+/// `ModelStore::attach_obs`), plus request tracing.
 #[derive(Debug)]
 pub struct Obs {
-    /// Request latency per normalised route — external traffic only.
-    pub requests: Family,
-    /// Request latency of internal routes (`/healthz`, `/metrics`,
-    /// `/debug/*`), kept out of [`Obs::requests`] so 1 Hz scraping never
-    /// skews serving percentiles.
-    pub internal: Family,
     /// Model fit execution time.
     pub fit: Histogram,
     /// Per-series score execution time (on the worker that ran it).
@@ -162,6 +120,12 @@ pub struct Obs {
     counter: AtomicU64,
 }
 
+impl Default for Obs {
+    fn default() -> Self {
+        Obs::new()
+    }
+}
+
 impl Obs {
     /// Default trace-ring capacity (`recent` lookup window).
     pub const TRACE_RING: usize = 256;
@@ -170,28 +134,20 @@ impl Obs {
     /// Bound on concurrently registered in-flight traces.
     pub const ACTIVE_CAP: usize = 1024;
 
-    /// A registry with request histograms pre-registered for the given
-    /// external and internal route patterns, and default-size trace
-    /// rings ([`Obs::TRACE_RING`] / [`Obs::SLOW_KEEP`]).
-    pub fn new(routes: &[&'static str], internal_routes: &[&'static str]) -> Self {
-        Self::with_rings(routes, internal_routes, Self::TRACE_RING, Self::SLOW_KEEP)
+    /// Empty stage histograms and default-size trace rings
+    /// ([`Obs::TRACE_RING`] / [`Obs::SLOW_KEEP`]).
+    pub fn new() -> Self {
+        Self::with_rings(Self::TRACE_RING, Self::SLOW_KEEP)
     }
 
     /// Like [`Obs::new`] with explicit trace-ring sizes (`serve
     /// --trace-ring` / `--slow-ring`); both are floored at 1.
-    pub fn with_rings(
-        routes: &[&'static str],
-        internal_routes: &[&'static str],
-        trace_ring: usize,
-        slow_keep: usize,
-    ) -> Self {
+    pub fn with_rings(trace_ring: usize, slow_keep: usize) -> Self {
         // Process nonce: the pid, FNV-mixed so two quick restarts get
         // visibly different high bits. Deterministic within a process.
         let mut nonce = 0xcbf2_9ce4_8422_2325u64 ^ u64::from(std::process::id());
         nonce = nonce.wrapping_mul(0x0000_0100_0000_01b3);
         Obs {
-            requests: Family::new(routes),
-            internal: Family::new(internal_routes),
             fit: Histogram::new(),
             score: Histogram::new(),
             pool_queue_wait: Histogram::new(),
@@ -206,11 +162,6 @@ impl Obs {
         }
     }
 
-    /// The request-latency histogram for a normalised route pattern.
-    pub fn request(&self, route: &str) -> &Histogram {
-        self.requests.get(route)
-    }
-
     /// Mints the next [`TraceId`]: process nonce in the high 32 bits, a
     /// monotone counter in the low 32.
     pub fn next_trace_id(&self) -> TraceId {
@@ -223,8 +174,8 @@ impl Obs {
         TraceHandle::new(self.next_trace_id())
     }
 
-    /// Every named stage histogram, for uniform rendering:
-    /// `(instrument name, histogram)`.
+    /// Every stage histogram with its series name, in exposition and
+    /// sample order — the only list of stage instruments.
     pub fn stages(&self) -> [(&'static str, &Histogram); 7] {
         [
             ("s2g_fit_duration_ns", &self.fit),
@@ -244,22 +195,11 @@ mod tests {
 
     #[test]
     fn trace_ids_are_unique_and_share_the_nonce() {
-        let obs = Obs::new(&[], &[]);
+        let obs = Obs::new();
         let a = obs.next_trace_id();
         let b = obs.next_trace_id();
         assert_ne!(a, b);
         assert_eq!(a.0 >> 32, b.0 >> 32);
-    }
-
-    #[test]
-    fn family_falls_back_to_other() {
-        let family = Family::new(&["GET /models"]);
-        family.get("GET /models").record(10);
-        family.get("GET /nope").record(20);
-        let keys: Vec<&str> = family.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["GET /models", "(other)"]);
-        assert_eq!(family.get("GET /models").count(), 1);
-        assert_eq!(family.get("anything-else").count(), 1);
     }
 
     #[test]

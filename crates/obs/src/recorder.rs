@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use crate::hist::{bucket_upper_bound, HistogramSnapshot, BUCKETS};
+use crate::hist::{bucket_upper_bound, BUCKETS};
 
 /// Why [`CompactHistogram::checked_delta`] refused to subtract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +65,9 @@ impl fmt::Display for DeltaError {
 impl std::error::Error for DeltaError {}
 
 /// A histogram frozen into sparse `(bucket index, count)` pairs, plus the
-/// scalar tails (`count`, `sum`, `max`). Indices follow the
+/// scalar tails (`count`, `sum`, `max`) — the one frozen form:
+/// [`crate::Histogram::snapshot`] returns it, scrapes render it, samples
+/// retain it and the journal stores it. Indices follow the
 /// [`crate::hist`] log-bucket layout and are strictly increasing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactHistogram {
@@ -93,16 +95,6 @@ impl CompactHistogram {
         }
     }
 
-    /// Freezes a live snapshot into the sparse retained form.
-    pub fn from_snapshot(snap: &HistogramSnapshot) -> Self {
-        CompactHistogram {
-            count: snap.count(),
-            sum: snap.sum(),
-            max: snap.max(),
-            buckets: snap.sparse_buckets(),
-        }
-    }
-
     /// The histogram of everything recorded *between* `earlier` and
     /// `self` — per-bucket saturating subtraction of two cumulative
     /// freezes. `max` becomes the upper bound of the highest bucket with
@@ -119,23 +111,7 @@ impl CompactHistogram {
                 counts[i] = counts[i].saturating_sub(n);
             }
         }
-        let buckets: Vec<(usize, u64)> = counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n != 0)
-            .map(|(i, &n)| (i, n))
-            .collect();
-        let count: u64 = buckets.iter().map(|&(_, n)| n).sum();
-        let max = buckets
-            .last()
-            .map(|&(i, _)| bucket_upper_bound(i).min(self.max))
-            .unwrap_or(0);
-        CompactHistogram {
-            count,
-            sum: self.sum.wrapping_sub(earlier.sum),
-            max,
-            buckets,
-        }
+        self.windowed(&counts, earlier)
     }
 
     /// Like [`CompactHistogram::delta`], but *strict*: where the
@@ -167,23 +143,22 @@ impl CompactHistogram {
             }
             counts[i] -= n;
         }
-        let buckets: Vec<(usize, u64)> = counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n != 0)
-            .map(|(i, &n)| (i, n))
-            .collect();
-        let count: u64 = buckets.iter().map(|&(_, n)| n).sum();
-        let max = buckets
-            .last()
-            .map(|&(i, _)| bucket_upper_bound(i).min(self.max))
-            .unwrap_or(0);
-        Ok(CompactHistogram {
-            count,
+        Ok(self.windowed(&counts, earlier))
+    }
+
+    /// The windowed freeze from the subtracted dense `counts`: the count
+    /// re-summed from the buckets, `max` the upper bound of the highest
+    /// active bucket capped by `self.max`.
+    fn windowed(&self, counts: &[u64; BUCKETS], earlier: &CompactHistogram) -> CompactHistogram {
+        let buckets = sparse(counts);
+        CompactHistogram {
+            count: buckets.iter().map(|&(_, n)| n).sum(),
             sum: self.sum.wrapping_sub(earlier.sum),
-            max,
+            max: buckets
+                .last()
+                .map_or(0, |&(i, _)| bucket_upper_bound(i).min(self.max)),
             buckets,
-        })
+        }
     }
 
     /// Merges two freezes: per-bucket count addition over the union of
@@ -196,17 +171,11 @@ impl CompactHistogram {
                 counts[i] = counts[i].saturating_add(n);
             }
         }
-        let buckets: Vec<(usize, u64)> = counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n != 0)
-            .map(|(i, &n)| (i, n))
-            .collect();
         CompactHistogram {
             count: self.count.saturating_add(other.count),
             sum: self.sum.wrapping_add(other.sum),
             max: self.max.max(other.max),
-            buckets,
+            buckets: sparse(&counts),
         }
     }
 
@@ -219,10 +188,10 @@ impl CompactHistogram {
         }
     }
 
-    /// Nearest-rank `q`-quantile over the sparse buckets — same contract
-    /// as [`HistogramSnapshot::quantile`]: the inclusive upper bound of
-    /// the bucket holding the ranked element, capped by `max`; `0` when
-    /// empty.
+    /// The nearest-rank `q`-quantile (`0.0 ..= 1.0`): the inclusive upper
+    /// bound of the bucket holding the ranked element, capped by the exact
+    /// `max` (so `quantile(1.0) == max` on a live freeze); `0` when empty.
+    /// Never an under-estimate of the true quantile.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -238,6 +207,29 @@ impl CompactHistogram {
         }
         self.max
     }
+
+    /// Non-empty buckets as `(inclusive upper bound, cumulative count)`
+    /// pairs — the shape Prometheus `_bucket{le=...}` lines want.
+    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+        let mut cum = 0u64;
+        self.buckets
+            .iter()
+            .map(|&(i, n)| {
+                cum += n;
+                (bucket_upper_bound(i), cum)
+            })
+            .collect()
+    }
+}
+
+/// The non-empty entries of a dense bucket array, indices ascending.
+fn sparse(counts: &[u64; BUCKETS]) -> Vec<(usize, u64)> {
+    counts
+        .iter()
+        .enumerate()
+        .filter(|(_, &n)| n != 0)
+        .map(|(i, &n)| (i, n))
+        .collect()
 }
 
 /// The fixed, ordered naming of every series a [`Sample`] carries.
@@ -438,18 +430,22 @@ mod tests {
     }
 
     #[test]
-    fn compact_histogram_round_trips_a_snapshot() {
+    fn snapshot_keeps_the_tails_and_the_cumulative_buckets() {
         let h = Histogram::new();
         for v in [1u64, 5, 5, 1_000, 123_456] {
             h.record(v);
         }
         let snap = h.snapshot();
-        let compact = CompactHistogram::from_snapshot(&snap);
-        assert_eq!(compact.count, snap.count());
-        assert_eq!(compact.sum, snap.sum());
-        assert_eq!(compact.max, snap.max());
-        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(compact.quantile(q), snap.quantile(q), "q={q}");
+        assert_eq!(snap.count, 5);
+        assert_eq!(snap.sum, 1 + 5 + 5 + 1_000 + 123_456);
+        assert_eq!(snap.max, 123_456);
+        assert_eq!(snap.quantile(1.0), 123_456);
+        assert_eq!(snap.quantile(0.5), 5);
+        let cumulative = snap.cumulative_buckets();
+        assert_eq!(cumulative.len(), snap.buckets.len());
+        assert_eq!(cumulative.last().unwrap().1, 5);
+        for (&(le, _), &(i, _)) in cumulative.iter().zip(&snap.buckets) {
+            assert_eq!(le, bucket_upper_bound(i));
         }
     }
 
@@ -459,11 +455,11 @@ mod tests {
         for v in 1..=2_000u64 {
             h.record(v);
         }
-        let early = CompactHistogram::from_snapshot(&h.snapshot());
+        let early = h.snapshot();
         for v in 10_000..10_500u64 {
             h.record(v);
         }
-        let late = CompactHistogram::from_snapshot(&h.snapshot());
+        let late = h.snapshot();
         let window = h.snapshot(); // cumulative; build expected directly
         let delta = late.delta(&early);
         assert_eq!(delta.count, 500);
@@ -480,7 +476,7 @@ mod tests {
     fn delta_against_self_is_empty() {
         let h = Histogram::new();
         h.record(42);
-        let c = CompactHistogram::from_snapshot(&h.snapshot());
+        let c = h.snapshot();
         let d = c.delta(&c);
         assert_eq!(d.count, 0);
         assert_eq!(d.sum, 0);

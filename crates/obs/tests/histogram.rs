@@ -78,7 +78,7 @@ fn concurrent_recording_from_8_threads_sums_exactly() {
     let total = THREADS as u64 * PER_THREAD;
     assert_eq!(h.count(), total);
     let snap = h.snapshot();
-    assert_eq!(snap.count(), total);
+    assert_eq!(snap.count, total);
     // The exact sum of the recorded arithmetic progressions.
     let expected_sum: u64 = (0..THREADS as u64)
         .map(|t| PER_THREAD * (t + 1) * 997 + 13 * (PER_THREAD * (PER_THREAD - 1) / 2))
@@ -226,7 +226,7 @@ fn empty_window_quantiles_are_zero() {
     for v in [3u64, 900, 4_000_000] {
         h.record(v);
     }
-    let frozen = CompactHistogram::from_snapshot(&h.snapshot());
+    let frozen = h.snapshot();
     let empty = frozen.checked_delta(&frozen).expect("self-delta is valid");
     assert_eq!(empty.count, 0);
     assert!(empty.buckets.is_empty());
@@ -258,14 +258,14 @@ fn merge_interleaves_disjoint_sparse_buckets() {
         slow.record(v);
         both.record(v);
     }
-    let a = CompactHistogram::from_snapshot(&fast.snapshot());
-    let b = CompactHistogram::from_snapshot(&slow.snapshot());
+    let a = fast.snapshot();
+    let b = slow.snapshot();
     // Disjointness is the premise of the test — check it holds.
     for (i, _) in &a.buckets {
         assert!(!b.buckets.iter().any(|(j, _)| j == i));
     }
     let merged = a.merge(&b);
-    let expected = CompactHistogram::from_snapshot(&both.snapshot());
+    let expected = both.snapshot();
     assert_eq!(merged.count, expected.count);
     assert_eq!(merged.sum, expected.sum);
     assert_eq!(merged.max, expected.max);

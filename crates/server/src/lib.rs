@@ -75,7 +75,7 @@ pub mod error;
 mod history;
 pub mod http;
 pub mod json;
-pub mod metrics;
+mod metrics;
 mod obscli;
 mod selfwatch;
 pub mod server;

@@ -29,6 +29,7 @@ use s2g_obs::journal::{
 use s2g_obs::recorder::{CompactHistogram, SeriesSchema};
 
 use crate::json::Json;
+use crate::metrics::summary_json;
 
 /// EPIPE-safe line output: `obs export | head -1` and `obs report | less`
 /// are the intended usage, and a closed downstream pipe must end the
@@ -710,7 +711,7 @@ fn event_json(event: &JournalEvent) -> Json {
             ));
             pairs.push((
                 "histograms".to_string(),
-                Json::Arr(s.sample.histograms.iter().map(compact_json).collect()),
+                Json::Arr(s.sample.histograms.iter().map(summary_json).collect()),
             ));
         }
         JournalEvent::Trace(t) => {
@@ -770,16 +771,6 @@ fn event_json(event: &JournalEvent) -> Json {
         }
     }
     Json::Obj(pairs)
-}
-
-fn compact_json(hist: &CompactHistogram) -> Json {
-    Json::obj([
-        ("count", Json::from(hist.count as usize)),
-        ("sum_ns", Json::from(hist.sum as usize)),
-        ("max_ns", Json::from(hist.max as usize)),
-        ("p50_ns", Json::from(hist.quantile(0.5) as usize)),
-        ("p99_ns", Json::from(hist.quantile(0.99) as usize)),
-    ])
 }
 
 #[cfg(test)]

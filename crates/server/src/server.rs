@@ -30,7 +30,7 @@ use s2g_engine::{AdaptConfig, Engine, EngineConfig, ModelInfo};
 use s2g_obs::journal::{
     self, Journal, JournalConfig, JournalEvent, JournalThread, LogEvent, PanicEvent, TraceEvent,
 };
-use s2g_obs::{FinishedTrace, HistogramSnapshot, Obs, Recorder, SpanCtx, TraceId, TraceScope};
+use s2g_obs::{FinishedTrace, Obs, Recorder, SpanCtx, TraceId, TraceScope};
 use s2g_store::{ModelStore, StoreConfig};
 use s2g_timeseries::{io as ts_io, TimeSeries};
 
@@ -38,51 +38,9 @@ use crate::error::ApiError;
 use crate::history;
 use crate::http::{read_request, Method, ParseError, Request, Response};
 use crate::json::{self, Json};
-use crate::metrics::Metrics;
+use crate::metrics::{self, Metrics, RouteId};
 use crate::selfwatch::SelfWatch;
 use crate::sessions::SessionTable;
-
-/// Route patterns of external (serving) traffic; their latency feeds the
-/// `s2g_request_duration_ns` histogram family. `POST /debug/sleep` is the
-/// flag-gated artificial slow handler ([`ServerConfig::debug_sleep`]) —
-/// external on purpose, so an injected spike lands in the serving
-/// percentiles the self-watch scores. `POST /debug/panic` (same gate)
-/// panics mid-handler to drill the postmortem path; it never completes,
-/// so it can never skew any percentile.
-pub(crate) const EXTERNAL_ROUTES: &[&str] = &[
-    "GET /models",
-    "PUT /models/{name}",
-    "GET /models/{name}",
-    "DELETE /models/{name}",
-    "POST /models/{name}/score",
-    "POST /sessions",
-    "POST /sessions/{id}/push",
-    "DELETE /sessions/{id}",
-    "POST /admin/shutdown",
-    "POST /debug/sleep",
-    "POST /debug/panic",
-];
-
-/// Route patterns of internal traffic (liveness probes, scrapes, debug
-/// endpoints), recorded under `s2g_internal_request_duration_ns` so a 1 Hz
-/// scraper can never skew the serving percentiles it is reporting.
-pub(crate) const INTERNAL_ROUTES: &[&str] = &[
-    "GET /healthz",
-    "GET /metrics",
-    "GET /metrics/json",
-    "GET /metrics/history",
-    "GET /metrics/delta",
-    "GET /watch",
-    "GET /debug/trace/{id}",
-    "GET /debug/slow",
-    "GET /metrics/journal",
-    "POST /debug/failpoint",
-    "GET /debug/failpoint",
-];
-
-fn is_internal_route(pattern: &str) -> bool {
-    INTERNAL_ROUTES.contains(&pattern)
-}
 
 /// Construction parameters for a [`Server`].
 #[derive(Debug, Clone)]
@@ -470,7 +428,7 @@ pub(crate) struct Shared {
     /// Admission-gate backlog threshold; `0` disables shedding.
     admission_queue: usize,
     /// Requests shed by the admission gate (`429 overloaded`).
-    shed: AtomicU64,
+    pub(crate) shed: AtomicU64,
     /// The durable telemetry journal; `None` without a `data_dir` or with
     /// journaling disabled. Publishing is try-send load shedding — the
     /// serving path never blocks on it.
@@ -598,7 +556,7 @@ fn write_postmortems(info: &std::panic::PanicHookInfo<'_>) {
                     .map(JournalEvent::Watch),
             );
         }
-        let _ = journal::write_postmortem(journal.dir(), &history::build_schema(), &events);
+        let _ = journal::write_postmortem(journal.dir(), &metrics::schema(&shared.obs), &events);
     }
 }
 
@@ -622,14 +580,9 @@ impl Server {
         s2g_obs::log::set_json(config.log_json);
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        // One instrument registry for the whole stack, attached to every
-        // layer before the first request can arrive.
-        let obs = Arc::new(Obs::with_rings(
-            EXTERNAL_ROUTES,
-            INTERNAL_ROUTES,
-            config.trace_ring,
-            config.slow_ring,
-        ));
+        // The stage instruments and tracing, shared by every layer and
+        // attached before the first request can arrive.
+        let obs = Arc::new(Obs::with_rings(config.trace_ring, config.slow_ring));
         if let Some(ms) = config.slow_request_ms {
             obs.traces
                 .set_slow_threshold_ns(ms.saturating_mul(1_000_000));
@@ -657,7 +610,7 @@ impl Server {
         // sample, so every retained sample stays positionally aligned.
         let (recorder, watch) = if config.sample_interval_ms > 0 {
             let recorder = Arc::new(Recorder::new(
-                history::build_schema(),
+                metrics::schema(&obs),
                 config.sample_interval_ms,
                 config.history_retention.max(2),
             ));
@@ -668,7 +621,10 @@ impl Server {
                 recorder.retention(),
                 config.watch_warmup
             );
-            (Some(recorder), Some(SelfWatch::new(config.watch_warmup)))
+            (
+                Some(recorder),
+                Some(SelfWatch::new(config.watch_warmup, &obs)),
+            )
         } else {
             (None, None)
         };
@@ -685,7 +641,7 @@ impl Server {
                 ..JournalConfig::new(&dir)
             };
             let (journal, thread) =
-                Journal::open(journal_config, history::build_schema()).map_err(io::Error::other)?;
+                Journal::open(journal_config, metrics::schema(&obs)).map_err(io::Error::other)?;
             s2g_obs::info!(
                 "server",
                 "telemetry journal on at {} ({} KiB segments, {} retained)",
@@ -872,7 +828,7 @@ impl Server {
                     if shared.shutdown.load(Ordering::SeqCst) {
                         break;
                     }
-                    let sample = history::collect_sample(&shared);
+                    let sample = metrics::sample(&shared);
                     if let Some(journal) = &shared.journal {
                         journal.publish(JournalEvent::sample(sample.clone()));
                     }
@@ -881,7 +837,12 @@ impl Server {
                         continue;
                     };
                     if let Some(watch) = &shared.watch {
-                        watch.tick(&shared, prev.as_deref(), &current);
+                        watch.tick(
+                            &shared.engine,
+                            shared.journal.as_ref(),
+                            prev.as_deref(),
+                            &current,
+                        );
                     }
                     prev = Some(current);
                 }
@@ -1023,13 +984,16 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 let mut response = ApiError::from(e).to_response();
                 root.finish();
                 let total_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                shared.metrics.record_request("(unparsed)", response.status);
+                let route = RouteId::Unparsed;
+                shared
+                    .metrics
+                    .record_request(route, response.status, total_ns);
                 response.trace_id = Some(trace.id().to_string());
                 let (finished, _) =
                     shared
                         .obs
                         .traces
-                        .finish(&trace, "(unparsed)", response.status, total_ns);
+                        .finish(&trace, route.pattern(), response.status, total_ns);
                 if let Some(journal) = &shared.journal {
                     journal.publish(JournalEvent::Trace(TraceEvent::from_finished(&finished)));
                 }
@@ -1039,9 +1003,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         };
         first = false;
         // Per-request middleware: mint a trace, open the root span, time
-        // the dispatch, and record the latency under the route's family —
-        // internal routes (probes, scrapes) are kept out of the serving
-        // percentiles. The trace id travels back in the `X-S2g-Trace`
+        // the dispatch, and record the request under its route — whose
+        // latency histogram keeps internal routes (probes, scrapes) out of
+        // the serving percentiles. The trace id travels back in the `X-S2g-Trace`
         // header, ready for `GET /debug/trace/{id}`.
         let started = Instant::now();
         let trace = shared.obs.start_trace();
@@ -1071,25 +1035,22 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 .deadline_ms
                 .map(|ms| started + Duration::from_millis(ms)),
         );
-        let (pattern, result) = route(shared, &request, &ctx);
+        let (route, result) = route(shared, &request, &ctx);
         let mut response = match result {
             Ok(response) => response,
             Err(e) => e.to_response(),
         };
         root.finish();
         let total_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let family = if is_internal_route(pattern) {
-            &shared.obs.internal
-        } else {
-            &shared.obs.requests
-        };
-        family.get(pattern).record(total_ns);
-        shared.metrics.record_request(pattern, response.status);
+        shared
+            .metrics
+            .record_request(route, response.status, total_ns);
         response.trace_id = Some(trace.id().to_string());
-        let (finished, slow) = shared
-            .obs
-            .traces
-            .finish(&trace, pattern, response.status, total_ns);
+        let (finished, slow) =
+            shared
+                .obs
+                .traces
+                .finish(&trace, route.pattern(), response.status, total_ns);
         // Slow and error traces are the forensically interesting ones —
         // they go to the journal (shedding, never blocking).
         if slow || response.status >= 400 {
@@ -1130,55 +1091,45 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
 }
 
 /// Dispatches one parsed request to its endpoint handler. Returns the
-/// handler outcome together with the **normalised route pattern** the
-/// request resolved to — the bounded label set `/metrics` counts requests
-/// under (names never leak into labels). One match produces both, so the
-/// dispatch table and the metrics labels can never drift apart.
-#[allow(clippy::type_complexity)]
+/// handler outcome together with the [`RouteId`] the request resolved to
+/// — the index that picks its counter cell, latency histogram and trace
+/// name (names never leak into labels).
 fn route(
     shared: &Shared,
     request: &Request,
     ctx: &SpanCtx,
-) -> (&'static str, Result<Response, ApiError>) {
+) -> (RouteId, Result<Response, ApiError>) {
     use Method::{Delete, Get, Post, Put};
+    use RouteId as R;
     let segments: Vec<&str> = request.segments.iter().map(String::as_str).collect();
     match (request.method, segments.as_slice()) {
-        (Get, ["healthz"]) => ("GET /healthz", handle_healthz(shared)),
-        (Get, ["metrics"]) => ("GET /metrics", handle_metrics(shared)),
-        (Get, ["metrics", "json"]) => ("GET /metrics/json", handle_metrics_json(shared)),
-        (Get, ["metrics", "history"]) => (
-            "GET /metrics/history",
-            handle_metrics_history(shared, request),
-        ),
-        (Get, ["metrics", "delta"]) => {
-            ("GET /metrics/delta", handle_metrics_delta(shared, request))
+        (Get, ["healthz"]) => (R::Healthz, handle_healthz(shared)),
+        (Get, ["metrics"]) => (R::Metrics, handle_metrics(shared)),
+        (Get, ["metrics", "json"]) => (R::MetricsJson, handle_metrics_json(shared)),
+        (Get, ["metrics", "history"]) => {
+            (R::MetricsHistory, handle_metrics_history(shared, request))
         }
-        (Get, ["metrics", "journal"]) => ("GET /metrics/journal", handle_metrics_journal(shared)),
-        (Get, ["watch"]) => ("GET /watch", handle_watch(shared)),
-        (Get, ["debug", "trace", id]) => ("GET /debug/trace/{id}", handle_debug_trace(shared, id)),
-        (Get, ["debug", "slow"]) => ("GET /debug/slow", handle_debug_slow(shared)),
-        (Post, ["debug", "sleep"]) => ("POST /debug/sleep", handle_debug_sleep(shared, request)),
-        (Post, ["debug", "panic"]) => ("POST /debug/panic", handle_debug_panic(shared, ctx)),
-        (Post, ["debug", "failpoint"]) => (
-            "POST /debug/failpoint",
-            handle_failpoint_set(shared, request),
-        ),
-        (Get, ["debug", "failpoint"]) => ("GET /debug/failpoint", handle_failpoint_list(shared)),
-        (Get, ["models"]) => ("GET /models", handle_list_models(shared)),
-        (Put, ["models", name]) => ("PUT /models/{name}", handle_fit(shared, name, request, ctx)),
-        (Get, ["models", name]) => ("GET /models/{name}", handle_model_info(shared, name)),
-        (Delete, ["models", name]) => ("DELETE /models/{name}", handle_delete_model(shared, name)),
-        (Post, ["models", name, "score"]) => (
-            "POST /models/{name}/score",
-            handle_score(shared, name, request, ctx),
-        ),
-        (Post, ["sessions"]) => ("POST /sessions", handle_open_session(shared, request)),
+        (Get, ["metrics", "delta"]) => (R::MetricsDelta, handle_metrics_delta(shared, request)),
+        (Get, ["metrics", "journal"]) => (R::MetricsJournal, handle_metrics_journal(shared)),
+        (Get, ["watch"]) => (R::Watch, handle_watch(shared)),
+        (Get, ["debug", "trace", id]) => (R::DebugTrace, handle_debug_trace(shared, id)),
+        (Get, ["debug", "slow"]) => (R::DebugSlow, handle_debug_slow(shared)),
+        (Post, ["debug", "sleep"]) => (R::DebugSleep, handle_debug_sleep(shared, request)),
+        (Post, ["debug", "panic"]) => (R::DebugPanic, handle_debug_panic(shared, ctx)),
+        (Post, ["debug", "failpoint"]) => (R::FailpointSet, handle_failpoint_set(shared, request)),
+        (Get, ["debug", "failpoint"]) => (R::FailpointList, handle_failpoint_list(shared)),
+        (Get, ["models"]) => (R::ListModels, handle_list_models(shared)),
+        (Put, ["models", name]) => (R::Fit, handle_fit(shared, name, request, ctx)),
+        (Get, ["models", name]) => (R::ModelInfo, handle_model_info(shared, name)),
+        (Delete, ["models", name]) => (R::DeleteModel, handle_delete_model(shared, name)),
+        (Post, ["models", name, "score"]) => (R::Score, handle_score(shared, name, request, ctx)),
+        (Post, ["sessions"]) => (R::OpenSession, handle_open_session(shared, request)),
         (Post, ["sessions", id, "push"]) => (
-            "POST /sessions/{id}/push",
+            R::PushSession,
             handle_push_session(shared, id, request, ctx),
         ),
-        (Delete, ["sessions", id]) => ("DELETE /sessions/{id}", handle_close_session(shared, id)),
-        (Post, ["admin", "shutdown"]) => ("POST /admin/shutdown", handle_shutdown(shared)),
+        (Delete, ["sessions", id]) => (R::CloseSession, handle_close_session(shared, id)),
+        (Post, ["admin", "shutdown"]) => (R::Shutdown, handle_shutdown(shared)),
         // Known resource, wrong method.
         (
             _,
@@ -1189,7 +1140,7 @@ fn route(
             | ["sessions", ..]
             | ["admin", "shutdown"],
         ) => (
-            "(method_not_allowed)",
+            R::MethodNotAllowed,
             Err(ApiError::new(
                 405,
                 "method_not_allowed",
@@ -1197,7 +1148,7 @@ fn route(
             )),
         ),
         _ => (
-            "(other)",
+            R::Other,
             Err(ApiError::not_found(format!(
                 "no such endpoint: {}",
                 request.path
@@ -1287,201 +1238,12 @@ fn checksum_string(checksum: u64) -> String {
     format!("{checksum:#018x}")
 }
 
-/// Appends one histogram's Prometheus-subset lines: `quantile` samples,
-/// `_count`/`_sum`/`_max`, and cumulative `_bucket{le=...}` lines (only
-/// non-empty buckets, closed by `le="+Inf"`). Empty histograms emit
-/// nothing — a scrape never lists instruments that saw no traffic.
-fn render_histogram(
-    lines: &mut Vec<String>,
-    name: &str,
-    label: Option<(&str, &str)>,
-    snap: &HistogramSnapshot,
-) {
-    if snap.count() == 0 {
-        return;
-    }
-    let labels = |extra: Option<(&str, String)>| -> String {
-        let mut parts = Vec::new();
-        if let Some((k, v)) = label {
-            parts.push(format!("{k}=\"{v}\""));
-        }
-        if let Some((k, v)) = extra {
-            parts.push(format!("{k}=\"{v}\""));
-        }
-        if parts.is_empty() {
-            String::new()
-        } else {
-            format!("{{{}}}", parts.join(","))
-        }
-    };
-    for (q, tag) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-        lines.push(format!(
-            "{name}{} {}",
-            labels(Some(("quantile", tag.to_string()))),
-            snap.quantile(q)
-        ));
-    }
-    lines.push(format!("{name}_count{} {}", labels(None), snap.count()));
-    lines.push(format!("{name}_sum{} {}", labels(None), snap.sum()));
-    lines.push(format!("{name}_max{} {}", labels(None), snap.max()));
-    for (le, cum) in snap.cumulative_buckets() {
-        lines.push(format!(
-            "{name}_bucket{} {cum}",
-            labels(Some(("le", le.to_string())))
-        ));
-    }
-    lines.push(format!(
-        "{name}_bucket{} {}",
-        labels(Some(("le", "+Inf".to_string()))),
-        snap.count()
-    ));
-}
-
 fn handle_metrics(shared: &Shared) -> Result<Response, ApiError> {
-    let mut lines = shared.metrics.render(&history::sampled_gauges(shared));
-    // Pool scheduler balance: per-worker executed/stolen task counters and
-    // current queue depth. `stolen > 0` means the work-stealing scheduler
-    // rebalanced a skewed batch; worker cardinality is bounded by the pool
-    // size.
-    let depths = shared.engine.queue_depths();
-    for (worker, stats) in shared.engine.worker_stats().iter().enumerate() {
-        lines.push(format!(
-            "s2g_pool_tasks_executed_total{{worker=\"{worker}\"}} {}",
-            stats.executed
-        ));
-        lines.push(format!(
-            "s2g_pool_tasks_stolen_total{{worker=\"{worker}\"}} {}",
-            stats.stolen
-        ));
-        lines.push(format!(
-            "s2g_pool_queue_depth{{worker=\"{worker}\"}} {}",
-            depths.get(worker).copied().unwrap_or(0)
-        ));
-    }
-    // Robustness accounting: panic-isolated tasks, queued work that
-    // expired, requests shed at the admission gate, store disk health,
-    // and per-failpoint injected-fault counts.
-    lines.push(format!(
-        "s2g_pool_task_panics_total {}",
-        shared.engine.task_panics()
-    ));
-    lines.push(format!(
-        "s2g_pool_deadline_expired_total {}",
-        shared.engine.deadline_expired()
-    ));
-    lines.push(format!(
-        "s2g_admission_shed_total {}",
-        shared.shed.load(Ordering::Relaxed)
-    ));
-    if let Some(storage) = shared.engine.storage() {
-        lines.push(format!(
-            "s2g_store_degradations_total {}",
-            storage.degradations()
-        ));
-        lines.push(format!(
-            "s2g_store_recoveries_total {}",
-            storage.recoveries()
-        ));
-    }
-    for status in s2g_failpoints::snapshot() {
-        if status.triggers > 0 {
-            lines.push(format!(
-                "s2g_failpoint_triggers_total{{name=\"{}\"}} {}",
-                status.name, status.triggers
-            ));
-        }
-    }
-    // Latency histograms: per-route request latency (external and
-    // internal families kept apart) and the per-stage instruments.
-    for (route, hist) in shared.obs.requests.iter() {
-        render_histogram(
-            &mut lines,
-            "s2g_request_duration_ns",
-            Some(("route", route)),
-            &hist.snapshot(),
-        );
-    }
-    for (route, hist) in shared.obs.internal.iter() {
-        render_histogram(
-            &mut lines,
-            "s2g_internal_request_duration_ns",
-            Some(("route", route)),
-            &hist.snapshot(),
-        );
-    }
-    for (name, hist) in shared.obs.stages() {
-        render_histogram(&mut lines, name, None, &hist.snapshot());
-    }
-    Ok(Response::plain_text(lines))
-}
-
-/// One histogram snapshot as the `/metrics/json` object shape.
-fn histogram_json(snap: &HistogramSnapshot) -> Json {
-    Json::obj([
-        ("count", Json::from(snap.count() as usize)),
-        ("sum_ns", Json::from(snap.sum() as usize)),
-        ("max_ns", Json::from(snap.max() as usize)),
-        ("mean_ns", Json::from(snap.mean())),
-        ("p50_ns", Json::from(snap.quantile(0.5) as usize)),
-        ("p95_ns", Json::from(snap.quantile(0.95) as usize)),
-        ("p99_ns", Json::from(snap.quantile(0.99) as usize)),
-    ])
-}
-
-/// Non-empty histograms of a family as a `route → summary` JSON object.
-fn family_json(family: &s2g_obs::Family) -> Json {
-    Json::Obj(
-        family
-            .iter()
-            .filter(|(_, h)| h.count() > 0)
-            .map(|(route, h)| (route.to_string(), histogram_json(&h.snapshot())))
-            .collect(),
-    )
+    Ok(Response::plain_text(metrics::render_text(shared)))
 }
 
 fn handle_metrics_json(shared: &Shared) -> Result<Response, ApiError> {
-    let gauges = Json::Obj(
-        history::sampled_gauges(shared)
-            .into_iter()
-            .map(|(name, value)| (name.to_string(), Json::from(value as usize)))
-            .collect(),
-    );
-    let stages = Json::Obj(
-        shared
-            .obs
-            .stages()
-            .into_iter()
-            .filter(|(_, h)| h.count() > 0)
-            .map(|(name, h)| (name.to_string(), histogram_json(&h.snapshot())))
-            .collect(),
-    );
-    let threshold = shared.obs.traces.slow_threshold_ns();
-    let sampler = match &shared.recorder {
-        None => Json::Null,
-        Some(recorder) => Json::obj([
-            ("interval_ms", Json::from(recorder.interval_ms() as usize)),
-            ("retention", Json::from(recorder.retention())),
-            ("samples", Json::from(recorder.len())),
-        ]),
-    };
-    let body = Json::obj([
-        ("gauges", gauges),
-        ("requests", family_json(&shared.obs.requests)),
-        ("internal", family_json(&shared.obs.internal)),
-        ("stages", stages),
-        (
-            "slow_threshold_ms",
-            if threshold == u64::MAX {
-                Json::Null
-            } else {
-                Json::from((threshold / 1_000_000) as usize)
-            },
-        ),
-        ("trace_ring", Json::from(shared.obs.traces.capacity())),
-        ("slow_ring", Json::from(shared.obs.traces.slow_keep())),
-        ("sampler", sampler),
-    ]);
-    Ok(Response::ok(vec![body.encode()]))
+    Ok(Response::ok(vec![metrics::render_json(shared).encode()]))
 }
 
 /// `GET /metrics/history?window=&step=`: the flight recorder's retained

@@ -26,21 +26,6 @@ pub fn euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
         .sqrt())
 }
 
-/// Squared Euclidean distance (no square root); useful for nearest-neighbour
-/// comparisons where the monotone transform is irrelevant.
-pub fn squared_euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
-    if a.len() != b.len() {
-        return Err(Error::LengthMismatch {
-            left: a.len(),
-            right: b.len(),
-        });
-    }
-    Ok(a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>())
-}
-
 /// Z-normalised Euclidean distance, the `dist` of the paper's Section 2:
 /// both sequences are z-normalised before the Euclidean distance is taken.
 ///
@@ -102,17 +87,6 @@ pub fn znorm_euclidean_from_stats(
     (2.0 * m * (1.0 - corr)).max(0.0).sqrt()
 }
 
-/// Manhattan (L1) distance between two equal-length sequences.
-pub fn manhattan(a: &[f64], b: &[f64]) -> Result<f64> {
-    if a.len() != b.len() {
-        return Err(Error::LengthMismatch {
-            left: a.len(),
-            right: b.len(),
-        });
-    }
-    Ok(a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).sum())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,15 +95,6 @@ mod tests {
     fn euclidean_basic() {
         assert!((euclidean(&[0.0, 0.0], &[3.0, 4.0]).unwrap() - 5.0).abs() < 1e-12);
         assert!(euclidean(&[1.0], &[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn squared_euclidean_is_square() {
-        let a = [1.0, 2.0, -1.0];
-        let b = [0.0, 1.5, 2.0];
-        let d = euclidean(&a, &b).unwrap();
-        let d2 = squared_euclidean(&a, &b).unwrap();
-        assert!((d * d - d2).abs() < 1e-12);
     }
 
     #[test]
@@ -170,11 +135,5 @@ mod tests {
         assert_eq!(d, 0.0);
         let d = znorm_euclidean_from_stats(9, 0.0, 1.0, 0.0, 2.0, 1.0);
         assert_eq!(d, 3.0);
-    }
-
-    #[test]
-    fn manhattan_basic() {
-        assert_eq!(manhattan(&[1.0, 2.0], &[3.0, 0.0]).unwrap(), 4.0);
-        assert!(manhattan(&[1.0], &[]).is_err());
     }
 }

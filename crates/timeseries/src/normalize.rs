@@ -1,6 +1,5 @@
 //! Sequence normalisation utilities.
 
-use crate::error::{Error, Result};
 use crate::stats;
 
 /// Z-normalises a sequence in place: `x -> (x - mean) / std`.
@@ -28,43 +27,6 @@ pub fn znormalize(xs: &[f64]) -> Vec<f64> {
     v
 }
 
-/// Strictly z-normalises a sequence, failing on (near-)constant input.
-///
-/// # Errors
-/// [`Error::ZeroVariance`] when the standard deviation is below `1e-12`,
-/// [`Error::Empty`] on empty input.
-pub fn znormalize_strict(xs: &[f64]) -> Result<Vec<f64>> {
-    if xs.is_empty() {
-        return Err(Error::Empty("sequence"));
-    }
-    let (m, s) = stats::mean_std(xs);
-    if s < 1e-12 {
-        return Err(Error::ZeroVariance);
-    }
-    Ok(xs.iter().map(|&x| (x - m) / s).collect())
-}
-
-/// Min-max normalises a sequence into `[0, 1]`.
-///
-/// Constant sequences map to all zeros.
-pub fn minmax_normalize(xs: &[f64]) -> Vec<f64> {
-    let lo = stats::min(xs).unwrap_or(0.0);
-    let hi = stats::max(xs).unwrap_or(0.0);
-    let range = hi - lo;
-    if range < f64::EPSILON {
-        return vec![0.0; xs.len()];
-    }
-    xs.iter().map(|&x| (x - lo) / range).collect()
-}
-
-/// Rescales a sequence to have the given mean and standard deviation.
-pub fn rescale(xs: &[f64], target_mean: f64, target_std: f64) -> Vec<f64> {
-    znormalize(xs)
-        .into_iter()
-        .map(|z| z * target_std + target_mean)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,31 +43,6 @@ mod tests {
     fn znormalize_constant_centres_only() {
         let z = znormalize(&[5.0, 5.0, 5.0]);
         assert_eq!(z, vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn znormalize_strict_rejects_constant() {
-        assert!(matches!(
-            znormalize_strict(&[2.0, 2.0]),
-            Err(Error::ZeroVariance)
-        ));
-        assert!(matches!(znormalize_strict(&[]), Err(Error::Empty(_))));
-        assert!(znormalize_strict(&[1.0, 2.0]).is_ok());
-    }
-
-    #[test]
-    fn minmax_maps_to_unit_interval() {
-        let xs = [-2.0, 0.0, 2.0];
-        assert_eq!(minmax_normalize(&xs), vec![0.0, 0.5, 1.0]);
-        assert_eq!(minmax_normalize(&[3.0, 3.0]), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn rescale_hits_targets() {
-        let xs = [1.0, 5.0, 9.0, 13.0];
-        let y = rescale(&xs, 100.0, 2.0);
-        assert!((stats::mean(&y) - 100.0).abs() < 1e-9);
-        assert!((stats::std(&y) - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -104,16 +104,6 @@ impl TimeSeries {
         TimeSeries::from(self.values[..end].to_vec())
     }
 
-    /// Number of subsequences of length `window` (i.e. `|T| - window + 1`),
-    /// or zero when the series is shorter than the window.
-    pub fn num_subsequences(&self, window: usize) -> usize {
-        if window == 0 || window > self.len() {
-            0
-        } else {
-            self.len() - window + 1
-        }
-    }
-
     /// Arithmetic mean of the series. Returns `0.0` for an empty series.
     pub fn mean(&self) -> f64 {
         stats::mean(&self.values)
@@ -212,15 +202,6 @@ mod tests {
         assert!(ts.subsequence(3, 3).is_err());
         assert!(ts.subsequence(0, 0).is_err());
         assert!(ts.subsequence(usize::MAX, 2).is_err());
-    }
-
-    #[test]
-    fn num_subsequences_matches_definition() {
-        let ts = TimeSeries::zeros(10);
-        assert_eq!(ts.num_subsequences(3), 8);
-        assert_eq!(ts.num_subsequences(10), 1);
-        assert_eq!(ts.num_subsequences(11), 0);
-        assert_eq!(ts.num_subsequences(0), 0);
     }
 
     #[test]

@@ -86,22 +86,6 @@ pub fn argmax(xs: &[f64]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Index of the minimum value (first occurrence). `None` for empty input.
-pub fn argmin(xs: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &x) in xs.iter().enumerate() {
-        if x.is_nan() {
-            continue;
-        }
-        match best {
-            None => best = Some((i, x)),
-            Some((_, b)) if x < b => best = Some((i, x)),
-            _ => {}
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 /// Rolling (moving) sums of window `w`: `output[i] = sum(xs[i..i+w])`.
 ///
 /// Returns an empty vector when `w == 0` or `w > xs.len()`. Computed with a
@@ -189,7 +173,6 @@ mod tests {
         assert_eq!(min(&[]), None);
         assert_eq!(max(&[]), None);
         assert_eq!(argmax(&[]), None);
-        assert_eq!(argmin(&[]), None);
         assert!(rolling_sum(&[], 3).is_empty());
     }
 
@@ -201,10 +184,9 @@ mod tests {
     }
 
     #[test]
-    fn argmax_argmin() {
+    fn argmax_takes_the_first_maximum() {
         let xs = [1.0, 5.0, -2.0, 5.0];
         assert_eq!(argmax(&xs), Some(1));
-        assert_eq!(argmin(&xs), Some(2));
     }
 
     #[test]

@@ -79,7 +79,7 @@ fn engine_operations_are_bit_identical_with_and_without_a_span() {
 
     // Instrumented run: obs attached, every call under a live span tree.
     let mut engine = Engine::new(EngineConfig::default().with_workers(3));
-    let obs = Arc::new(Obs::new(&[], &[]));
+    let obs = Arc::new(Obs::new());
     engine.attach_obs(Arc::clone(&obs));
     let trace = obs.start_trace();
     let root = trace.begin("request", None);
@@ -183,7 +183,7 @@ fn pool_operations_are_bit_identical_with_and_without_a_span() {
     let bare_push = bare.push_stream("s", &stream, None).unwrap();
 
     let pool = WorkerPool::new(2);
-    let obs = Arc::new(Obs::new(&[], &[]));
+    let obs = Arc::new(Obs::new());
     pool.attach_obs(Arc::clone(&obs));
     let trace = obs.start_trace();
     let root = trace.begin("request", None);
