@@ -84,21 +84,10 @@ impl DriftDetector {
         }
     }
 
-    /// Builds a detector whose baseline is `model`'s own training window
-    /// profile at the given query length — the score distribution the
-    /// training series would produce if streamed.
-    pub fn from_model(
-        model: &Series2Graph,
-        query_length: usize,
-        capacity: usize,
-        threshold: f64,
-    ) -> Self {
-        Self::from_profile(&training_profile(model, query_length), capacity, threshold)
-    }
-
-    /// Builds a detector from an already-computed training profile (see
-    /// [`DriftDetector::from_model`]) — lets a caller that also needs the
-    /// profile for its acceptance threshold compute it once.
+    /// Builds a detector whose baseline is a model's training window
+    /// profile — the score distribution the training series would produce
+    /// if streamed. A caller that also needs the profile for its
+    /// acceptance threshold computes it once.
     pub fn from_profile(profile: &[f64], capacity: usize, threshold: f64) -> Self {
         let (mean, std) = mean_std(profile);
         DriftDetector::new(mean, std, capacity, threshold)

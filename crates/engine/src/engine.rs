@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use s2g_adapt::{AdaptAction, AdaptConfig, DriftStats};
-use s2g_core::{AdaptationLineage, S2gConfig, Series2Graph, StreamingScorer};
+use s2g_core::{AdaptationLineage, S2gConfig, Series2Graph};
 use s2g_obs::{Obs, SpanCtx};
 use s2g_timeseries::TimeSeries;
 
@@ -273,33 +273,6 @@ impl Engine {
         }
         drop(fit_span);
         self.register_fitted(name, model, span)
-    }
-
-    /// Fits a small, *unregistered* Series2Graph on warm-up telemetry and
-    /// wraps it in a [`StreamingScorer`] — the self-watch plumbing: the
-    /// server hands its own derived series (request p99, queue-wait
-    /// mean, …) in here so the detector that watches customer data
-    /// watches the server too. The model never touches the registry or
-    /// the store; the fit-duration histogram records like any other fit.
-    ///
-    /// # Errors
-    /// Fit errors (e.g. a degenerate constant series) or
-    /// `query_length < pattern_length` — the caller falls back to a
-    /// robust z-score watchdog in that case.
-    pub fn fit_watch_scorer(
-        &self,
-        values: &[f64],
-        pattern_length: usize,
-        query_length: usize,
-    ) -> Result<StreamingScorer> {
-        let series = TimeSeries::from(values.to_vec());
-        let config = S2gConfig::new(pattern_length);
-        let started = Instant::now();
-        let model = Series2Graph::fit(&series, &config)?;
-        if let Some(obs) = &self.obs {
-            obs.fit.record_duration(started.elapsed());
-        }
-        Ok(StreamingScorer::new(model, query_length)?)
     }
 
     /// Fits many models in parallel across the pool and registers each under

@@ -6,9 +6,6 @@
 //! no allocation — and the worst-case quantile overestimate is bounded at
 //! half an octave (≤ 50 % of the true value, typically ≤ 25 %).
 //!
-//! Histograms are mergeable: shard-local recording followed by
-//! [`Histogram::merge_from`] is count-exact against recording into a single
-//! shared histogram (the merge test in `tests/` pins this down).
 //! [`Histogram::snapshot`] freezes one into the only frozen form, the
 //! sparse [`CompactHistogram`], so one scrape renders p50, p95 and p99
 //! from the same consistent view, and the flight recorder retains exactly
@@ -61,7 +58,7 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
     }
 }
 
-/// A fixed-size, lock-free, mergeable log-bucketed histogram.
+/// A fixed-size, lock-free log-bucketed histogram.
 ///
 /// All methods take `&self`; recording from any number of threads is safe
 /// and sums exactly (relaxed atomic increments never drop counts).
@@ -120,25 +117,6 @@ impl Histogram {
     /// Exact maximum recorded value (`0` when empty).
     pub fn max(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
-    }
-
-    /// Adds every count of `src` into `self`; `src` is left untouched.
-    ///
-    /// Merging shard-local histograms into one is count-identical to
-    /// having recorded everything into a single shared histogram.
-    pub fn merge_from(&self, src: &Histogram) {
-        for (dst, s) in self.buckets.iter().zip(src.buckets.iter()) {
-            let n = s.load(Ordering::Relaxed);
-            if n != 0 {
-                dst.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(src.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(src.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(src.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// A point-in-time freeze of the non-empty buckets and the scalar

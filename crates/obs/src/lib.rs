@@ -4,7 +4,7 @@
 //! of the serving stack (server → engine → worker pool → model store):
 //!
 //! * [`hist`] — lock-free log-bucketed latency [`Histogram`]s (128
-//!   `AtomicU64` buckets, mergeable, nanosecond recording cost) with exact
+//!   `AtomicU64` buckets, nanosecond recording cost) with exact
 //!   max and bounded-error p50/p95/p99;
 //! * [`trace`] — request-scoped tracing: a [`TraceId`] minted per request,
 //!   [`Span`]s propagated across threads via [`SpanCtx`], finished traces
@@ -16,9 +16,8 @@
 //!   histogram as sparse [`CompactHistogram`]s), with windowed-delta
 //!   math for rate-over-window views instead of lifetime averages;
 //! * [`watch`] — self-watch: [`SignalWatch`] hysteresis state machines
-//!   scoring derived telemetry series through a pluggable
-//!   [`SignalScorer`] (the server plugs Series2Graph in — the detector
-//!   watching its own vitals);
+//!   scoring derived telemetry series with a [`RobustScorer`], a median/MAD
+//!   level watchdog;
 //! * [`journal`] — the black box: samples, slow/error traces, watch
 //!   transitions and warn/error log lines streamed by a shedding writer
 //!   thread into append-only, checksummed, size-bounded segment files
@@ -73,7 +72,7 @@ pub use trace::{
     ActiveTraces, FinishedTrace, Span, SpanCtx, SpanRecord, TraceHandle, TraceId, TraceScope,
     TraceSink,
 };
-pub use watch::{Hysteresis, SignalScorer, SignalWatch, WatchState, WatchTransition};
+pub use watch::{Hysteresis, RobustScorer, SignalWatch, WatchState, WatchTransition};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

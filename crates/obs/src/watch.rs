@@ -1,13 +1,12 @@
-//! Self-watch: anomaly watchdogs over the server's own telemetry.
+//! Self-watch: a level watchdog over the server's own telemetry.
 //!
-//! The paper's thesis applied to ourselves: a derived telemetry series
-//! (request p99, queue-wait mean, store fault rate) is just a time
-//! series, so the same scorer that watches customer data can watch the
-//! server — Series2Graph dogfooded as its own watchdog.
+//! A derived telemetry series (request p99, queue-wait mean, store fault
+//! rate) fails mostly by changing level, so each one is watched by a
+//! robust z-score against its warm-up median and MAD. Series2Graph is no
+//! use here: it keeps only the shape of each subsequence, so a level
+//! shift leaves its embedding unchanged.
 //!
-//! This module holds the core-free machinery: the [`SignalScorer`] trait
-//! (the server plugs a `StreamingScorer` adapter in; [`RobustScorer`] is
-//! the built-in fallback for degenerate warm-up telemetry), warm-up
+//! This module holds the machinery: the [`RobustScorer`], warm-up
 //! threshold calibration, and the [`SignalWatch`] hysteresis state
 //! machine (`ok` → `degraded` → `anomalous`, with consecutive-tick
 //! debouncing in both directions so one noisy sample never flips the
@@ -44,20 +43,8 @@ impl fmt::Display for WatchState {
     }
 }
 
-/// A streaming normality scorer: feed one derived-telemetry value per
-/// sampler tick, get a normality score once warmed up (**higher = more
-/// normal**, matching `s2g-core` streaming scores).
-pub trait SignalScorer: Send {
-    /// Pushes one value; `None` while the scorer is still warming up.
-    fn push(&mut self, value: f64) -> Option<f64>;
-    /// Short name of the scoring backend (`s2g` / `robust-z`), reported
-    /// on the wire so operators know which watchdog is on duty.
-    fn kind(&self) -> &'static str;
-}
-
-/// Fallback scorer for degenerate warm-up telemetry (constant series
-/// carry no shape for a graph embedding): a robust z-score against the
-/// warm-up median/MAD, emitted as `-|z|` so higher stays more normal.
+/// A robust z-score against the warm-up median/MAD, emitted as `-|z|`
+/// so higher is more normal and the best score is `0`.
 #[derive(Debug, Clone)]
 pub struct RobustScorer {
     median: f64,
@@ -101,41 +88,21 @@ impl RobustScorer {
             sigma: robust_sigma(values, center),
         })
     }
-}
 
-impl SignalScorer for RobustScorer {
-    fn push(&mut self, value: f64) -> Option<f64> {
-        Some(-((value - self.median).abs() / self.sigma))
-    }
-
-    fn kind(&self) -> &'static str {
-        "robust-z"
+    /// The score of one value: `-|z|`.
+    pub fn push(&self, value: f64) -> f64 {
+        -((value - self.median).abs() / self.sigma)
     }
 }
 
 /// Warm-up threshold below the lowest score the calibration window
-/// produced. Scores at or above the threshold are normal.
-///
-/// Two regimes, because the two scorer families live on different
-/// half-lines:
-///
-/// * **Strictly positive warm-up scores** (S2G normality: path-weight
-///   sums, where an anomalous window degrades toward `0` as its
-///   transitions leave the graph): the threshold is half the warm-up
-///   minimum — comfortably below every normal score, yet far above the
-///   near-zero scores a genuine anomaly produces. A `min − k·σ` margin
-///   would land below zero here and never fire.
-/// * **Scores reaching `≤ 0`** (robust z as `-|z|`, best score `0`):
-///   the threshold is the minimum minus `k` robust sigmas of the
-///   window's scores, the margin floored so a perfectly flat warm-up
-///   still leaves room for float jitter.
+/// produced: the minimum minus `k` robust sigmas of the window's
+/// scores, the margin floored so a perfectly flat warm-up still leaves
+/// room for float jitter. Scores at or above the threshold are normal.
 pub fn calibrate_threshold(warmup_scores: &[f64], k: f64) -> f64 {
     let min = warmup_scores.iter().copied().fold(f64::INFINITY, f64::min);
     if !min.is_finite() {
         return -1e-6; // empty warm-up: alarm only on negative scores
-    }
-    if min > 0.0 {
-        return min * 0.5;
     }
     let center = median(warmup_scores);
     let margin = (k * robust_sigma(warmup_scores, center)).max(0.05 * min.abs() + 1e-6);
@@ -174,9 +141,10 @@ pub struct WatchTransition {
 
 /// One watched signal: a named derived series, its scorer, the
 /// calibrated threshold, and the hysteresis state machine.
+#[derive(Debug)]
 pub struct SignalWatch {
     name: &'static str,
-    scorer: Box<dyn SignalScorer>,
+    scorer: RobustScorer,
     threshold: f64,
     hysteresis: Hysteresis,
     state: WatchState,
@@ -186,22 +154,11 @@ pub struct SignalWatch {
     last_score: Option<f64>,
 }
 
-impl fmt::Debug for SignalWatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SignalWatch")
-            .field("name", &self.name)
-            .field("scorer", &self.scorer.kind())
-            .field("threshold", &self.threshold)
-            .field("state", &self.state)
-            .finish_non_exhaustive()
-    }
-}
-
 impl SignalWatch {
     /// A watch over `name`, scoring with `scorer` against `threshold`.
     pub fn new(
         name: &'static str,
-        scorer: Box<dyn SignalScorer>,
+        scorer: RobustScorer,
         threshold: f64,
         hysteresis: Hysteresis,
     ) -> Self {
@@ -223,11 +180,6 @@ impl SignalWatch {
         self.name
     }
 
-    /// Scoring backend on duty (`s2g` / `robust-z`).
-    pub fn scorer_kind(&self) -> &'static str {
-        self.scorer.kind()
-    }
-
     /// Calibrated normality threshold.
     pub fn threshold(&self) -> f64 {
         self.threshold
@@ -243,7 +195,7 @@ impl SignalWatch {
         self.last_value
     }
 
-    /// Most recent normality score (None while the scorer warms up).
+    /// Most recent score (`None` before the first observation).
     pub fn last_score(&self) -> Option<f64> {
         self.last_score
     }
@@ -252,7 +204,7 @@ impl SignalWatch {
     /// state machine; returns the transition when the state changed.
     pub fn observe(&mut self, value: f64) -> Option<WatchTransition> {
         self.last_value = Some(value);
-        let score = self.scorer.push(value)?;
+        let score = self.scorer.push(value);
         self.last_score = Some(score);
         let bad = score < self.threshold;
         if bad {
@@ -299,9 +251,9 @@ mod tests {
     #[test]
     fn robust_scorer_flags_a_spike_but_not_baseline() {
         let baseline: Vec<f64> = (0..30).map(|i| 100.0 + (i % 5) as f64).collect();
-        let mut scorer = RobustScorer::from_baseline(&baseline).unwrap();
-        let normal = scorer.push(102.0).unwrap();
-        let spike = scorer.push(5_000.0).unwrap();
+        let scorer = RobustScorer::from_baseline(&baseline).unwrap();
+        let normal = scorer.push(102.0);
+        let spike = scorer.push(5_000.0);
         assert!(normal > spike, "spike must score less normal");
         assert!(normal > -3.0, "baseline value within ~3 sigma: {normal}");
         assert!(spike < -10.0, "spike far outside the band: {spike}");
@@ -317,25 +269,12 @@ mod tests {
     }
 
     #[test]
-    fn threshold_for_positive_normality_sits_between_zero_and_min() {
-        // S2G-style scores: positive path weights, anomaly degrades to ~0.
-        let scores = vec![22.0, 18.5, 30.0, 19.2, 25.0];
-        let threshold = calibrate_threshold(&scores, 4.0);
-        assert!(threshold > 0.0, "must stay reachable from above zero");
-        assert!(threshold < 18.5, "must sit below every warm-up score");
-        // A collapsed-to-zero anomaly score fires; warm-up scores do not.
-        assert!(0.5 < threshold);
-        assert!(scores.iter().all(|&s| s >= threshold));
-    }
-
-    #[test]
     fn hysteresis_debounces_in_both_directions() {
         let baseline: Vec<f64> = (0..30).map(|i| 10.0 + (i % 3) as f64).collect();
         let scorer = RobustScorer::from_baseline(&baseline).unwrap();
-        let mut probe = scorer.clone();
-        let warmup_scores: Vec<f64> = baseline.iter().map(|&v| probe.push(v).unwrap()).collect();
+        let warmup_scores: Vec<f64> = baseline.iter().map(|&v| scorer.push(v)).collect();
         let threshold = calibrate_threshold(&warmup_scores, 3.0);
-        let mut watch = SignalWatch::new("sig", Box::new(scorer), threshold, Hysteresis::default());
+        let mut watch = SignalWatch::new("sig", scorer, threshold, Hysteresis::default());
 
         // One bad tick: still ok (debounced).
         assert!(watch.observe(1_000.0).is_none());

@@ -86,35 +86,6 @@ fn concurrent_recording_from_8_threads_sums_exactly() {
     assert_eq!(h.sum(), expected_sum);
 }
 
-#[test]
-fn merge_of_shard_locals_equals_single_histogram() {
-    const SHARDS: usize = 4;
-    let shards: Vec<Histogram> = (0..SHARDS).map(|_| Histogram::new()).collect();
-    let single = Histogram::new();
-    for (s, shard) in shards.iter().enumerate() {
-        for i in 0..10_000u64 {
-            let v = (s as u64)
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(i * 31);
-            shard.record(v);
-            single.record(v);
-        }
-    }
-    let merged = Histogram::new();
-    for shard in &shards {
-        merged.merge_from(shard);
-    }
-    assert_eq!(merged.count(), single.count());
-    assert_eq!(merged.sum(), single.sum());
-    assert_eq!(merged.max(), single.max());
-    let a = merged.snapshot();
-    let b = single.snapshot();
-    assert_eq!(a.cumulative_buckets(), b.cumulative_buckets());
-    for q in [0.0, 0.5, 0.9, 0.95, 0.99, 1.0] {
-        assert_eq!(a.quantile(q), b.quantile(q));
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

@@ -45,7 +45,7 @@ USAGE — serving (over TCP, protocol in docs/PROTOCOL.md):
                [--log-json] [--slow-request-ms <n>]
                [--sample-interval-ms <n>] [--history-retention <n>]
                [--watch-warmup <n>] [--trace-ring <n>] [--slow-ring <n>]
-               [--debug-sleep] [--no-journal] [--journal-segment-kb <n>]
+               [--no-journal] [--journal-segment-kb <n>]
                [--journal-segments <n>] [--failpoints <spec|on>]
                [--admission-queue <n>]
                (S2G_FAILPOINTS env = --failpoints; spec grammar in
@@ -169,7 +169,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             "--failpoints",
             "--admission-queue",
         ],
-        &["--log-json", "--debug-sleep", "--no-journal"],
+        &["--log-json", "--no-journal"],
     )?;
     let addr = args.get("--addr").unwrap_or("127.0.0.1:7878").to_string();
     let mut engine = EngineConfig::default();
@@ -224,9 +224,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(ring) = opt_usize(&args, "--slow-ring")? {
         config = config.with_slow_ring(ring);
-    }
-    if args.has("--debug-sleep") {
-        config = config.with_debug_sleep(true);
     }
     if args.has("--no-journal") {
         config = config.with_journal(false);

@@ -88,11 +88,6 @@ routes! {
     Watch => "GET /watch", Internal(5);
     DebugTrace => "GET /debug/trace/{id}", Internal(6);
     DebugSlow => "GET /debug/slow", Internal(7);
-    // The flag-gated artificial slow handler is external on purpose: an
-    // injected spike lands in the serving percentiles the self-watch
-    // scores. `/debug/panic` never completes, so it never skews any.
-    DebugSleep => "POST /debug/sleep", External(9);
-    DebugPanic => "POST /debug/panic", External(10);
     FailpointSet => "POST /debug/failpoint", Internal(9);
     FailpointList => "GET /debug/failpoint", Internal(10);
     ListModels => "GET /models", External(0);
@@ -635,8 +630,8 @@ mod tests {
                 .count();
             assert_eq!(owners, 1, "slot {slot}");
         }
-        assert_eq!(EXTERNAL, 11);
-        assert_eq!(TIMED, 22);
+        assert_eq!(EXTERNAL, 9);
+        assert_eq!(TIMED, 20);
         assert_eq!(RouteId::Other.pattern(), "(other)");
         assert_eq!(
             ROUTES[RouteId::Score as usize].pattern,

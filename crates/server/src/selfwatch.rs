@@ -1,28 +1,22 @@
-//! Self-watch: the server scoring its own telemetry for anomalies.
+//! Self-watch: the server watching its own telemetry for level shifts.
 //!
 //! Each sampler tick derives three operational signals from consecutive
 //! flight-recorder samples — windowed external-request p99, windowed
 //! pool queue-wait mean, store fault rate — and feeds them through
 //! per-signal watchdogs. The first `watch_warmup` ticks are warm-up
-//! telemetry: after them, each signal gets a `StreamingScorer` fitted on
-//! its own warm-up series via `Engine::fit_watch_scorer` (Series2Graph
-//! watching Series2Graph) — holdout-validated, and falling back to a
-//! robust z-score watchdog when the warm-up series is too flat, short,
-//! or unstructured to embed. Normality thresholds are calibrated from
-//! the held-out warm-up scores, and the
-//! `ok`/`degraded`/`anomalous` verdict of each signal advances through
-//! the hysteresis machine in `s2g_obs::watch`, with every transition
-//! logged (`warn!` when worsening).
+//! telemetry: after them, each signal is scored as a robust z-score
+//! against its own warm-up median and MAD, with the threshold calibrated
+//! below the worst warm-up score. These signals fail by changing level,
+//! which Series2Graph cannot see: its embedding keeps only the shape of
+//! each subsequence. The `ok`/`degraded`/`anomalous` verdict of each
+//! signal advances through the hysteresis machine in `s2g_obs::watch`,
+//! with every transition logged (`warn!` when worsening).
 
 use std::sync::Mutex;
 
-use s2g_core::StreamingScorer;
-use s2g_engine::Engine;
 use s2g_obs::journal::{self, Journal, JournalEvent, WatchEvent};
 use s2g_obs::recorder::{CompactHistogram, Recorder, Sample};
-use s2g_obs::watch::{
-    calibrate_threshold, overall, Hysteresis, RobustScorer, SignalScorer, SignalWatch,
-};
+use s2g_obs::watch::{calibrate_threshold, overall, Hysteresis, RobustScorer, SignalWatch};
 use s2g_obs::Obs;
 
 use crate::json::Json;
@@ -35,35 +29,17 @@ const SIGNALS: [&str; 3] = [
     "store_fault_per_sec",
 ];
 
-/// Window length ℓ of the tiny self-watch models.
-const WATCH_PATTERN_LEN: usize = 8;
-/// Streaming query length ℓq fed to the self-watch scorers.
-const WATCH_QUERY_LEN: usize = 16;
 /// Threshold margin in robust sigmas below the worst warm-up score.
 const THRESHOLD_SIGMAS: f64 = 4.0;
-
-/// A fitted `StreamingScorer` behind the core-free [`SignalScorer`]
-/// trait: one raw signal value in per tick, the window's normality out.
-struct S2gSignalScorer(StreamingScorer);
-
-impl SignalScorer for S2gSignalScorer {
-    fn push(&mut self, value: f64) -> Option<f64> {
-        self.0.push(value).ok().flatten().map(|(_, score)| score)
-    }
-
-    fn kind(&self) -> &'static str {
-        "s2g"
-    }
-}
 
 struct Inner {
     /// Last derived value per signal — carried forward through ticks
     /// whose window saw no traffic, so an idle lull never reads as a
     /// latency collapse.
     last: [f64; 3],
-    /// Warm-up telemetry, one row per tick, until the scorers are fitted.
+    /// Warm-up telemetry, one row per tick, until the watches are armed.
     collected: Vec<[f64; 3]>,
-    /// The fitted watch board; `None` while warming up.
+    /// The armed watch board; `None` while warming up.
     watches: Option<Vec<SignalWatch>>,
 }
 
@@ -78,8 +54,8 @@ pub(crate) struct SelfWatch {
 }
 
 impl SelfWatch {
-    /// A self-watch over samples of `obs`'s instruments that fits its
-    /// scorers after `warmup` sampler ticks (floored at 8 — below that
+    /// A self-watch over samples of `obs`'s instruments that arms its
+    /// watches after `warmup` sampler ticks (floored at 8 — below that
     /// there is nothing to calibrate on).
     pub(crate) fn new(warmup: usize, obs: &Obs) -> Self {
         SelfWatch {
@@ -98,8 +74,8 @@ impl SelfWatch {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The healthz `watch` field: `warming` until the scorers are
-    /// fitted, then the worst signal state.
+    /// The healthz `watch` field: `warming` until the watches are
+    /// armed, then the worst signal state.
     pub(crate) fn health_state(&self) -> &'static str {
         let inner = self.lock();
         match &inner.watches {
@@ -110,15 +86,9 @@ impl SelfWatch {
 
     /// One sampler tick: derive the signals from the delta between the
     /// previous and current flight-recorder samples, then either collect
-    /// warm-up telemetry (fitting the scorers on `engine` once it is
-    /// complete) or advance the watch board, journaling transitions.
-    pub(crate) fn tick(
-        &self,
-        engine: &Engine,
-        journal: Option<&Journal>,
-        prev: Option<&Sample>,
-        current: &Sample,
-    ) {
+    /// warm-up telemetry (arming the watches once it is complete) or
+    /// advance the watch board, journaling transitions.
+    pub(crate) fn tick(&self, journal: Option<&Journal>, prev: Option<&Sample>, current: &Sample) {
         let Some(prev) = prev else {
             return; // first tick has no window yet
         };
@@ -166,13 +136,12 @@ impl SelfWatch {
         } else {
             inner.collected.push(values);
             if inner.collected.len() >= self.warmup_target {
-                let watches = fit_watches(engine, &inner.collected);
+                let watches = arm_watches(&inner.collected);
                 for watch in &watches {
                     s2g_obs::info!(
                         "selfwatch",
-                        "signal {} armed: scorer={} threshold={:.4}",
+                        "signal {} armed: threshold={:.4}",
                         watch.name(),
-                        watch.scorer_kind(),
                         watch.threshold()
                     );
                 }
@@ -247,7 +216,7 @@ impl SelfWatch {
                     Json::obj([
                         ("name", Json::from(watch.name())),
                         ("state", Json::from(watch.state().as_str())),
-                        ("scorer", Json::from(watch.scorer_kind())),
+                        ("scorer", Json::from("robust-z")),
                         ("threshold", Json::from(watch.threshold())),
                         ("value", watch.last_value().map_or(Json::Null, Json::from)),
                         ("score", watch.last_score().map_or(Json::Null, Json::from)),
@@ -309,79 +278,26 @@ impl SelfWatch {
     }
 }
 
-/// Fits one watchdog per signal on the warm-up telemetry: Series2Graph
-/// when the series embeds, robust z-score otherwise, threshold
-/// calibrated from the warm-up scores either way.
-fn fit_watches(engine: &Engine, collected: &[[f64; 3]]) -> Vec<SignalWatch> {
+/// Arms one watchdog per signal on the warm-up telemetry: a robust
+/// z-score against the signal's warm-up median and MAD, its threshold
+/// calibrated from the warm-up scores.
+fn arm_watches(collected: &[[f64; 3]]) -> Vec<SignalWatch> {
     SIGNALS
         .iter()
         .enumerate()
         .map(|(i, name)| {
             let column: Vec<f64> = collected.iter().map(|row| row[i]).collect();
-            let (scorer, scores) = fit_signal_scorer(engine, name, &column);
+            let scorer = RobustScorer::from_baseline(&column).expect("warm-up spans 8+ ticks");
+            let scores: Vec<f64> = column.iter().map(|&v| scorer.push(v)).collect();
             let threshold = calibrate_threshold(&scores, THRESHOLD_SIGMAS);
             SignalWatch::new(name, scorer, threshold, Hysteresis::default())
         })
         .collect()
 }
 
-/// One signal's scorer plus its calibration scores. Tries the S2G
-/// streaming path first with **holdout validation**: the model is fitted
-/// on the first 60% of the warm-up only, then must keep the held-out
-/// 40% strictly normal (enough scores, all positive). Replaying the
-/// training data always scores well — only unseen telemetry reveals
-/// whether the signal has repeating structure for the graph to embed; a
-/// signal that is pure jitter at the sampling timescale collapses to
-/// zero-normality on fresh data and would false-alarm forever. Such
-/// signals (and fit failures, e.g. a constant series) fall back to the
-/// robust z watchdog.
-fn fit_signal_scorer(
-    engine: &Engine,
-    name: &str,
-    column: &[f64],
-) -> (Box<dyn SignalScorer>, Vec<f64>) {
-    let split = column.len() * 3 / 5;
-    match engine.fit_watch_scorer(&column[..split], WATCH_PATTERN_LEN, WATCH_QUERY_LEN) {
-        Ok(streaming) => {
-            let mut scorer = S2gSignalScorer(streaming);
-            // Warm the scorer through the training portion (scores over
-            // fitted data are discarded), then score the holdout.
-            for &value in &column[..split] {
-                let _ = scorer.push(value);
-            }
-            let holdout: Vec<f64> = column[split..]
-                .iter()
-                .filter_map(|&v| scorer.push(v))
-                .collect();
-            if holdout.len() >= 4 && holdout.iter().all(|&s| s > 0.0) {
-                return (Box::new(scorer), holdout);
-            }
-            s2g_obs::warn!(
-                "selfwatch",
-                "signal {name}: holdout rejected the streaming scorer \
-                 ({} scores, min {:.4}), falling back to robust z",
-                holdout.len(),
-                holdout.iter().copied().fold(f64::INFINITY, f64::min)
-            );
-        }
-        Err(e) => {
-            s2g_obs::warn!(
-                "selfwatch",
-                "signal {name}: S2G warm-up fit failed ({e}), falling back to robust z"
-            );
-        }
-    }
-    let robust = RobustScorer::from_baseline(column)
-        .unwrap_or_else(|| RobustScorer::from_baseline(&[0.0, 0.0, 0.0]).expect("3 values"));
-    let mut probe = robust.clone();
-    let scores: Vec<f64> = column.iter().filter_map(|&v| probe.push(v)).collect();
-    (Box::new(robust), scores)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s2g_engine::EngineConfig;
     use s2g_obs::Histogram;
 
     const TICK_NS: u64 = 25_000_000;
@@ -421,20 +337,41 @@ mod tests {
             lo + (self.seed >> 33) % (hi - lo)
         }
 
-        /// One sampler window of steady traffic: 20 external requests of
-        /// 0.8–1.2 ms, each queued 40–60 µs in the pool, plus `slow`
-        /// requests of 20–40 ms. Returns the frozen sample.
+        /// One draw of `level`: uniform within its jitter band, or the
+        /// centre itself when the band is empty.
+        fn draw(&mut self, level: Level) -> u64 {
+            let centre = level.ns as u64;
+            let spread = (level.ns * level.jitter) as u64;
+            if spread == 0 {
+                return centre;
+            }
+            self.jitter(centre - spread, centre + spread)
+        }
+
+        /// One sampler window of steady traffic plus `slow` requests of
+        /// 20–40 ms. Returns the frozen sample.
         fn tick(&mut self, slow: usize) -> Sample {
+            self.window(Traffic { slow, ..STEADY })
+        }
+
+        /// One sampler window of `traffic`: 20 external requests, each
+        /// queued in the pool, then the slow requests and the store
+        /// faults. Returns the frozen sample.
+        fn window(&mut self, traffic: Traffic) -> Sample {
             let queue_wait = metrics::stage_slot(&self.obs, &self.obs.pool_queue_wait);
+            let store_fault = metrics::stage_slot(&self.obs, &self.obs.store_fault);
             for _ in 0..20 {
-                let latency = self.jitter(800_000, 1_200_000);
+                let latency = self.draw(traffic.latency);
                 self.live[metrics::EXTERNAL_SLOTS.start].record(latency);
-                let wait = self.jitter(40_000, 60_000);
+                let wait = self.draw(traffic.queue_wait);
                 self.live[queue_wait].record(wait);
             }
-            for _ in 0..slow {
+            for _ in 0..traffic.slow {
                 let latency = self.jitter(20_000_000, 40_000_000);
                 self.live[metrics::EXTERNAL_SLOTS.start].record(latency);
+            }
+            for _ in 0..traffic.faults {
+                self.live[store_fault].record(1_000_000);
             }
             self.t_ns += TICK_NS;
             Sample {
@@ -442,6 +379,165 @@ mod tests {
                 counters: vec![0; self.counters],
                 gauges: vec![0; self.gauges],
                 histograms: self.live.iter().map(Histogram::snapshot).collect(),
+            }
+        }
+    }
+
+    /// A signal's level in one window and how far each draw strays from it.
+    #[derive(Clone, Copy, Debug)]
+    struct Level {
+        /// Centre, in ns.
+        ns: f64,
+        /// Relative half-width of the uniform draws: `0.2` is ±20 %, `0.0`
+        /// holds every draw at the centre.
+        jitter: f64,
+    }
+
+    /// One sampler window's traffic.
+    #[derive(Clone, Copy, Debug)]
+    struct Traffic {
+        /// External request latency.
+        latency: Level,
+        /// Pool queue wait of each request.
+        queue_wait: Level,
+        /// Store faults in the window.
+        faults: usize,
+        /// Requests of 20–40 ms on top of the 20 steady ones.
+        slow: usize,
+    }
+
+    /// Steady traffic: 1 ms requests queued 50 µs, both ±20 %, no faults.
+    const STEADY: Traffic = Traffic {
+        latency: Level {
+            ns: 1e6,
+            jitter: 0.2,
+        },
+        queue_wait: Level {
+            ns: 5e4,
+            jitter: 0.2,
+        },
+        faults: 0,
+        slow: 0,
+    };
+
+    /// Steady traffic whose levels swing ±60 % over a 10-tick period.
+    fn periodic(t: usize) -> Traffic {
+        let swing = 1.0 + 0.6 * (std::f64::consts::TAU * t as f64 / 10.0).sin();
+        let scale = |level: Level| Level {
+            ns: level.ns * swing,
+            ..level
+        };
+        Traffic {
+            latency: scale(STEADY.latency),
+            queue_wait: scale(STEADY.queue_wait),
+            ..STEADY
+        }
+    }
+
+    /// Traffic by tick index.
+    type Schedule = fn(usize) -> Traffic;
+
+    /// The two warm-ups: today's jittered traffic and the periodic swing.
+    const WARMUPS: [(&str, Schedule); 2] = [("jittered", |_| STEADY), ("periodic", periodic)];
+
+    /// `base` with signal `signal` (in [`SIGNALS`] order) scaled by
+    /// `factor`, keeping its jitter and swing — or, when `held`, every
+    /// draw held flat at `factor` times the steady level. The store-fault
+    /// signal gets `factor` faults per window.
+    fn shifted(base: Traffic, signal: usize, factor: f64, held: bool) -> Traffic {
+        let scale = |level: Level, steady: Level| {
+            if held {
+                Level {
+                    ns: steady.ns * factor,
+                    jitter: 0.0,
+                }
+            } else {
+                Level {
+                    ns: level.ns * factor,
+                    ..level
+                }
+            }
+        };
+        match signal {
+            0 => Traffic {
+                latency: scale(base.latency, STEADY.latency),
+                ..base
+            },
+            1 => Traffic {
+                queue_wait: scale(base.queue_wait, STEADY.queue_wait),
+                ..base
+            },
+            _ => Traffic {
+                faults: factor.round() as usize,
+                ..base
+            },
+        }
+    }
+
+    /// Warm-up length of the level-shift cases, in ticks.
+    const WARMUP: usize = 60;
+
+    /// Warms a fresh self-watch on `traffic(t)`, then feeds
+    /// `onset(i, traffic(t))` for `ticks` ticks, with `t` counted on
+    /// through the onset and `i` counted from it. Returns every signal's
+    /// state after each onset tick.
+    fn states_after_onset(
+        traffic: Schedule,
+        onset: impl Fn(usize, Traffic) -> Traffic,
+        ticks: usize,
+    ) -> Vec<[String; 3]> {
+        let mut telemetry = Telemetry::new();
+        let watch = SelfWatch::new(WARMUP, &telemetry.obs);
+        let recorder = Recorder::new(metrics::schema(&telemetry.obs), 25, 8);
+        let mut prev: Option<Sample> = None;
+        let mut states = Vec::with_capacity(ticks);
+        // The first tick opens the window, `WARMUP` more fill it.
+        for t in 0..=WARMUP + ticks {
+            let onset_tick = t.checked_sub(WARMUP + 1);
+            let current = telemetry.window(match onset_tick {
+                Some(i) => onset(i, traffic(t)),
+                None => traffic(t),
+            });
+            watch.tick(None, prev.as_ref(), &current);
+            prev = Some(current);
+            if onset_tick.is_some() {
+                let status = watch.status_json(&recorder);
+                states.push(SIGNALS.map(|name| {
+                    let state = signal(&status, name).get("state").and_then(Json::as_str);
+                    state.unwrap_or_default().to_string()
+                }));
+            }
+        }
+        states
+    }
+
+    /// The onset tick at which `signal` first read `anomalous`.
+    fn first_anomalous(states: &[[String; 3]], signal: usize) -> Option<usize> {
+        states.iter().position(|board| board[signal] == "anomalous")
+    }
+
+    /// Shifts each signal in turn, after either warm-up, with
+    /// `shift(signal, onset tick, base traffic)`. The shifted signal must
+    /// read `anomalous` within `within` ticks of the onset, and the others
+    /// must never read it in 60 ticks.
+    fn assert_each_signal_flagged(shift: impl Fn(usize, usize, Traffic) -> Traffic, within: usize) {
+        for (warmup, traffic) in WARMUPS {
+            for (signal, name) in SIGNALS.iter().enumerate() {
+                let states = states_after_onset(traffic, |i, base| shift(signal, i, base), 60);
+                let first = first_anomalous(&states, signal);
+                assert!(
+                    first.is_some_and(|tick| tick < within),
+                    "{warmup} warm-up: {name} first anomalous at onset tick {first:?}, not within {within}"
+                );
+                for (other, other_name) in SIGNALS.iter().enumerate() {
+                    if other != signal {
+                        let flagged = first_anomalous(&states, other);
+                        assert_eq!(
+                            flagged, None,
+                            "{warmup} warm-up, {name} shifted: {other_name} flagged"
+                        );
+                    }
+                }
             }
         }
     }
@@ -460,14 +556,13 @@ mod tests {
 
     #[test]
     fn steady_traffic_stays_ok_and_a_p99_spike_turns_anomalous() {
-        let engine = Engine::new(EngineConfig::default().with_workers(1));
         let mut telemetry = Telemetry::new();
         let watch = SelfWatch::new(40, &telemetry.obs);
         let recorder = Recorder::new(metrics::schema(&telemetry.obs), 25, 8);
         let mut prev: Option<Sample> = None;
         let mut advance = |telemetry: &mut Telemetry, slow: usize| {
             let current = telemetry.tick(slow);
-            watch.tick(&engine, None, prev.as_ref(), &current);
+            watch.tick(None, prev.as_ref(), &current);
             prev = Some(current);
         };
 
@@ -501,11 +596,11 @@ mod tests {
 
         // The spike: three 20–40 ms requests in every window put the
         // external p99 twenty times past its warm-up band. It must be
-        // flagged within one streaming query window of ticks.
+        // flagged within 16 ticks.
         let mut ticks = 0;
         while watch.health_state() != "anomalous" {
             assert!(
-                ticks < WATCH_QUERY_LEN,
+                ticks < 16,
                 "the spike was not flagged after {ticks} ticks: {}",
                 watch.status_json(&recorder).encode()
             );
@@ -525,5 +620,33 @@ mod tests {
             p99.get("value").unwrap().as_f64().unwrap() > 10.0,
             "spiked p99 must reflect the slow requests"
         );
+    }
+
+    #[test]
+    fn a_level_step_held_flat_is_flagged_within_four_ticks() {
+        assert_each_signal_flagged(|signal, _, base| shifted(base, signal, 30.0, true), 4);
+    }
+
+    #[test]
+    fn a_level_step_keeping_the_warm_up_jitter_is_flagged_within_four_ticks() {
+        assert_each_signal_flagged(|signal, _, base| shifted(base, signal, 3.0, false), 4);
+    }
+
+    #[test]
+    fn a_slow_ramp_is_flagged_within_fifteen_ticks() {
+        let ramp =
+            |signal, tick, base| shifted(base, signal, 1.0 + 29.0 * tick as f64 / 100.0, false);
+        assert_each_signal_flagged(ramp, 15);
+    }
+
+    #[test]
+    fn a_steady_run_after_a_periodic_warm_up_stays_ok() {
+        let states = states_after_onset(periodic, |_, base| base, 60);
+        for (tick, board) in states.iter().enumerate() {
+            assert!(
+                board.iter().all(|state| state == "ok"),
+                "steady tick {tick}: {board:?}"
+            );
+        }
     }
 }

@@ -84,18 +84,13 @@ pub struct ServerConfig {
     /// (`serve --history-retention`); memory stays fixed past it.
     pub history_retention: usize,
     /// Sampler ticks of warm-up telemetry collected before the
-    /// self-watch scorers are fitted (`serve --watch-warmup`).
+    /// self-watch watches are armed (`serve --watch-warmup`).
     pub watch_warmup: usize,
     /// Trace-ring capacity — how many finished traces
     /// `GET /debug/trace/{id}` can look up (`serve --trace-ring`).
     pub trace_ring: usize,
     /// Slow-trace retention depth (`serve --slow-ring`).
     pub slow_ring: usize,
-    /// Enables `POST /debug/sleep?ms=` — an artificial slow handler for
-    /// drills and self-watch acceptance tests — and `POST /debug/panic`,
-    /// the postmortem drill. Off by default; the routes answer 404 when
-    /// disabled.
-    pub debug_sleep: bool,
     /// Streams telemetry (flight-recorder samples, slow/error traces,
     /// self-watch transitions, warn/error log lines) into the durable
     /// journal under `data_dir/obs/` (`serve --no-journal` turns it
@@ -144,7 +139,6 @@ impl Default for ServerConfig {
             watch_warmup: 60,
             trace_ring: Obs::TRACE_RING,
             slow_ring: Obs::SLOW_KEEP,
-            debug_sleep: false,
             journal: true,
             journal_segment_kb: 1024,
             journal_segments: 8,
@@ -245,13 +239,6 @@ impl ServerConfig {
     /// Sets the slow-trace retention depth (minimum 1).
     pub fn with_slow_ring(mut self, depth: usize) -> Self {
         self.slow_ring = depth.max(1);
-        self
-    }
-
-    /// Enables the `POST /debug/sleep` artificial slow handler and the
-    /// `POST /debug/panic` postmortem drill.
-    pub fn with_debug_sleep(mut self, enabled: bool) -> Self {
-        self.debug_sleep = enabled;
         self
     }
 
@@ -421,7 +408,6 @@ pub(crate) struct Shared {
     pub(crate) recorder: Option<Arc<Recorder>>,
     /// The self-watch board; present exactly when the recorder is.
     pub(crate) watch: Option<SelfWatch>,
-    debug_sleep: bool,
     /// Whether `--failpoints` was given: gates the
     /// `POST`/`GET /debug/failpoint` drill endpoints.
     failpoints: bool,
@@ -685,7 +671,6 @@ impl Server {
             started: Instant::now(),
             recorder,
             watch,
-            debug_sleep: config.debug_sleep,
             failpoints: config.failpoints.is_some(),
             admission_queue: config.admission_queue,
             shed: AtomicU64::new(0),
@@ -837,12 +822,7 @@ impl Server {
                         continue;
                     };
                     if let Some(watch) = &shared.watch {
-                        watch.tick(
-                            &shared.engine,
-                            shared.journal.as_ref(),
-                            prev.as_deref(),
-                            &current,
-                        );
+                        watch.tick(shared.journal.as_ref(), prev.as_deref(), &current);
                     }
                     prev = Some(current);
                 }
@@ -1114,8 +1094,6 @@ fn route(
         (Get, ["watch"]) => (R::Watch, handle_watch(shared)),
         (Get, ["debug", "trace", id]) => (R::DebugTrace, handle_debug_trace(shared, id)),
         (Get, ["debug", "slow"]) => (R::DebugSlow, handle_debug_slow(shared)),
-        (Post, ["debug", "sleep"]) => (R::DebugSleep, handle_debug_sleep(shared, request)),
-        (Post, ["debug", "panic"]) => (R::DebugPanic, handle_debug_panic(shared, ctx)),
         (Post, ["debug", "failpoint"]) => (R::FailpointSet, handle_failpoint_set(shared, request)),
         (Get, ["debug", "failpoint"]) => (R::FailpointList, handle_failpoint_list(shared)),
         (Get, ["models"]) => (R::ListModels, handle_list_models(shared)),
@@ -1297,40 +1275,6 @@ fn handle_watch(shared: &Shared) -> Result<Response, ApiError> {
         ));
     }
     Ok(Response::ok(vec![body.encode()]))
-}
-
-/// `POST /debug/sleep?ms=`: an artificial slow handler for exercising the
-/// latency instruments (gated behind `--debug-sleep`; 404 otherwise). The
-/// sleep happens on the connection thread, so its full duration lands in
-/// the external serving histograms like any genuinely slow request.
-fn handle_debug_sleep(shared: &Shared, request: &Request) -> Result<Response, ApiError> {
-    if !shared.debug_sleep {
-        return Err(ApiError::not_found(
-            "debug sleep disabled (serve with --debug-sleep)",
-        ));
-    }
-    let ms = query_usize(request, "ms")?.unwrap_or(10).min(1_000);
-    std::thread::sleep(Duration::from_millis(ms as u64));
-    let body = Json::obj([("slept_ms", Json::from(ms))]);
-    Ok(Response::ok(vec![body.encode()]))
-}
-
-/// `POST /debug/panic`: panics mid-handler to drill the postmortem path
-/// (gated behind `--debug-sleep` with the other drill endpoint; 404
-/// otherwise). One child span is finished *before* the panic, so the
-/// postmortem's in-flight trace demonstrably carries the spans the
-/// request had completed when it died. No response is ever written — the
-/// connection thread unwinds and the peer sees the socket close.
-fn handle_debug_panic(shared: &Shared, ctx: &SpanCtx) -> Result<Response, ApiError> {
-    if !shared.debug_sleep {
-        return Err(ApiError::not_found(
-            "debug panic disabled (serve with --debug-sleep)",
-        ));
-    }
-    let mut span = ctx.child("about_to_panic");
-    span.attr("drill", "postmortem");
-    span.finish();
-    panic!("induced panic: POST /debug/panic");
 }
 
 /// One failpoint's live state as its wire JSON shape.

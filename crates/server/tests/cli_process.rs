@@ -380,8 +380,7 @@ fn usage_errors_exit_with_code_two() {
 }
 
 /// One raw HTTP/1.1 request over a fresh connection; returns the full
-/// response text ("" if the server dropped the connection mid-request,
-/// which is exactly what a panicking handler does).
+/// response text ("" if the server dropped the connection mid-request).
 fn raw_request(addr: &str, method: &str, target: &str) -> String {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
@@ -475,25 +474,43 @@ fn crash_drill_obs_forensics_survive_sigkill() {
     std::fs::remove_dir_all(&data_dir).ok();
 }
 
-/// The panic drill: an induced handler panic leaves a postmortem journal
-/// holding the panic site and the in-flight trace — and the server keeps
-/// serving other connections afterwards.
+/// The panic drill: a pool task panic injected by the `pool.task.panic`
+/// failpoint leaves a postmortem journal holding the panic and the
+/// in-flight trace of the request it hit — and the server keeps serving.
 #[test]
 fn panic_drill_writes_postmortem_with_in_flight_trace() {
     let s2g = env!("CARGO_BIN_EXE_s2g");
     let data_dir = tmp("panic_drill");
     std::fs::remove_dir_all(&data_dir).ok();
     let dir = data_dir.to_str().unwrap().to_string();
-    let (mut server, addr) = spawn_server_with(s2g, &["--data-dir", &dir, "--debug-sleep"]);
-
-    // The handler panics before writing a response: the connection just
-    // drops. The panic hook runs before unwinding, draining the in-flight
-    // trace into a postmortem file.
-    let response = raw_request(&addr, "POST", "/debug/panic");
-    assert!(
-        response.is_empty(),
-        "panicking handler answered: {response}"
+    let (mut server, addr) = spawn_server_with(
+        s2g,
+        &[
+            "--data-dir",
+            &dir,
+            "--registry-capacity",
+            "1",
+            "--failpoints",
+            "pool.task.panic=panic;budget=1",
+        ],
     );
+
+    // Wire fits run inline, off the pool. Fitting `b` evicts `a` from the
+    // one-model registry, so scoring `a` faults it back in from the store
+    // (a finished `store.load` span) and then runs the first pool task,
+    // which panics. The panic hook runs before unwinding, draining the
+    // in-flight trace into a postmortem file.
+    let client = s2g_server::Client::new(addr.clone());
+    let series = burst_series(2_000, 1_200);
+    let csv: Vec<String> = series.values().iter().map(f64::to_string).collect();
+    let csv = csv.join("\n");
+    client.fit_model("a", "pattern_length=50", &csv).unwrap();
+    client.fit_model("b", "pattern_length=50", &csv).unwrap();
+    let results = client.score("a", 150, &[series.values().to_vec()]).unwrap();
+    let Err((code, _)) = &results[0] else {
+        panic!("the injected panic scored: {results:?}");
+    };
+    assert_eq!(code, "worker_panicked");
 
     let obs_dir = data_dir.join("obs");
     let postmortem_written = || {
@@ -513,13 +530,13 @@ fn panic_drill_writes_postmortem_with_in_flight_trace() {
     }
     assert!(postmortem_written(), "no postmortem file appeared");
 
-    // One worker panicked; the server is still up for everyone else.
+    // One task panicked; the server is still up for everyone else.
     assert!(raw_request(&addr, "GET", "/healthz").starts_with("HTTP/1.1 200"));
     server.kill().unwrap();
     server.wait().unwrap();
 
     // The postmortem names the panic and carries the in-flight trace of
-    // the very request that died, spans included.
+    // the very request it hit, spans included.
     let files = s2g_obs::journal::read_dir_all(&obs_dir).unwrap();
     let postmortem = files
         .iter()
@@ -530,13 +547,15 @@ fn panic_drill_writes_postmortem_with_in_flight_trace() {
     for event in &postmortem.events {
         match event {
             s2g_obs::journal::JournalEvent::Panic(p) => {
-                assert!(p.message.contains("induced panic"), "{}", p.message);
-                assert!(p.location.contains("server"), "{}", p.location);
+                assert!(p.message.contains("injected panic"), "{}", p.message);
+                assert!(p.location.contains("failpoints"), "{}", p.location);
                 saw_panic = true;
             }
             s2g_obs::journal::JournalEvent::Trace(t) if t.in_flight => {
-                assert_eq!(t.route, "POST /debug/panic");
-                assert!(t.spans.iter().any(|s| s.name == "about_to_panic"));
+                // In-flight traces are registered before routing, under
+                // the raw request path.
+                assert_eq!(t.route, "POST /models/a/score");
+                assert!(t.spans.iter().any(|s| s.name == "store.load"));
                 saw_in_flight = true;
             }
             _ => {}
@@ -556,7 +575,7 @@ fn panic_drill_writes_postmortem_with_in_flight_trace() {
             "panic",
         ],
     );
-    assert!(grep.contains("induced panic"), "{grep}");
+    assert!(grep.contains("injected panic"), "{grep}");
 
     std::fs::remove_dir_all(&data_dir).ok();
 }

@@ -352,8 +352,6 @@ const EXPECTED_COUNTERS: &[&str] = &[
     "s2g_requests_total{route=\"GET /watch\"}",
     "s2g_requests_total{route=\"GET /debug/trace/{id}\"}",
     "s2g_requests_total{route=\"GET /debug/slow\"}",
-    "s2g_requests_total{route=\"POST /debug/sleep\"}",
-    "s2g_requests_total{route=\"POST /debug/panic\"}",
     "s2g_requests_total{route=\"POST /debug/failpoint\"}",
     "s2g_requests_total{route=\"GET /debug/failpoint\"}",
     "s2g_requests_total{route=\"GET /models\"}",
@@ -401,8 +399,6 @@ const EXPECTED_HISTOGRAMS: &[&str] = &[
     "s2g_request_duration_ns{route=\"POST /sessions/{id}/push\"}",
     "s2g_request_duration_ns{route=\"DELETE /sessions/{id}\"}",
     "s2g_request_duration_ns{route=\"POST /admin/shutdown\"}",
-    "s2g_request_duration_ns{route=\"POST /debug/sleep\"}",
-    "s2g_request_duration_ns{route=\"POST /debug/panic\"}",
     "s2g_internal_request_duration_ns{route=\"GET /healthz\"}",
     "s2g_internal_request_duration_ns{route=\"GET /metrics\"}",
     "s2g_internal_request_duration_ns{route=\"GET /metrics/json\"}",

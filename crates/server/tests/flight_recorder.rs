@@ -309,8 +309,7 @@ fn scoring_is_bit_identical_with_recorder_enabled() {
 
 #[test]
 fn history_watch_and_sleep_are_gated() {
-    // Sampling off: the history/delta/watch endpoints 404; debug sleep
-    // 404s unless its flag is set.
+    // Sampling off: the history/delta/watch endpoints 404.
     let (addr, handle, server_thread) = start(ServerConfig::default().with_sample_interval_ms(0));
     let client = Client::new(addr.clone());
     for call in [
@@ -324,8 +323,6 @@ fn history_watch_and_sleep_are_gated() {
         };
         assert_eq!(status, 404);
     }
-    let response = raw_request(&addr, "POST", "/debug/sleep?ms=1", "");
-    assert!(response.starts_with("HTTP/1.1 404"), "{response}");
     let health = client.health().unwrap();
     assert_eq!(health.get("watch").unwrap().as_str(), Some("disabled"));
     handle.shutdown();
@@ -345,7 +342,7 @@ fn self_watch_warms_up_over_the_wire() {
     );
 
     // Background traffic keeps the sampler windows populated, so the
-    // scorers are fitted on live telemetry.
+    // watches are armed on live telemetry.
     let stop = Arc::new(AtomicBool::new(false));
     let driver = {
         let stop = Arc::clone(&stop);
@@ -368,11 +365,17 @@ fn self_watch_warms_up_over_the_wire() {
     assert_eq!(signals.len(), 3);
     for signal in signals {
         let scorer = signal.get("scorer").unwrap().as_str().unwrap();
-        assert!(
-            scorer == "s2g" || scorer == "robust-z",
-            "unexpected scorer {scorer}"
-        );
+        assert_eq!(scorer, "robust-z", "unexpected scorer {scorer}");
     }
+    // Arming the watches fits no model: the fit histogram counts the
+    // fits this test made, which is none.
+    // `/metrics/json` lists only the stages that recorded something.
+    let metrics = client.metrics_json().unwrap();
+    let stages = metrics.get("stages").expect("stages object");
+    let fits = stages
+        .get("s2g_fit_duration_ns")
+        .map_or(0.0, |fit| fit.get("count").and_then(Json::as_f64).unwrap());
+    assert_eq!(fits, 0.0, "{}", metrics.encode());
 
     // healthz mirrors the watch verdict, whatever it is: compared between
     // two /watch reads that agree, so a sampler tick landing in between
