@@ -1,9 +1,8 @@
 //! # s2g-bench
 //!
 //! Experiment harness regenerating every table and figure of the
-//! Series2Graph paper's evaluation (Section 5), plus a Criterion
-//! `ablation` benchmark timing the design choices nothing else times
-//! (PCA solver, ray count, bandwidth rule, smoothing).
+//! Series2Graph paper's evaluation (Section 5). `fig7` also times the fit
+//! against the ray count `r`.
 //!
 //! The detectors are the [`s2g_eval::detector::Detector`] roster that
 //! `s2g eval` runs, plus one harness-local Series2Graph,

@@ -1,7 +1,5 @@
 //! Configuration of the Series2Graph pipeline.
 
-use s2g_linalg::pca::PcaSolver;
-
 use crate::error::{Error, Result};
 
 /// How the KDE bandwidth of the node-extraction step is chosen.
@@ -33,10 +31,6 @@ pub struct S2gConfig {
     pub kde_grid_points: usize,
     /// Apply the moving-average filter (width `ℓ`) to the score profile.
     pub smooth_scores: bool,
-    /// PCA solver used for the 3-dimensional reduction.
-    pub pca_solver: PcaSolver,
-    /// Seed used by the randomized PCA solver (ignored by the covariance solver).
-    pub seed: u64,
 }
 
 impl S2gConfig {
@@ -50,8 +44,6 @@ impl S2gConfig {
             bandwidth: BandwidthRule::Scott,
             kde_grid_points: 200,
             smooth_scores: true,
-            pca_solver: PcaSolver::Covariance,
-            seed: 0x5269_e52a,
         }
     }
 
@@ -76,18 +68,6 @@ impl S2gConfig {
     /// Enables or disables score smoothing.
     pub fn with_smoothing(mut self, smooth: bool) -> Self {
         self.smooth_scores = smooth;
-        self
-    }
-
-    /// Sets the PCA solver.
-    pub fn with_pca_solver(mut self, solver: PcaSolver) -> Self {
-        self.pca_solver = solver;
-        self
-    }
-
-    /// Sets the seed used by randomized components.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -164,13 +144,11 @@ mod tests {
             .with_lambda(30)
             .with_rate(64)
             .with_bandwidth(BandwidthRule::SigmaRatio(0.5))
-            .with_smoothing(false)
-            .with_seed(7);
+            .with_smoothing(false);
         assert_eq!(c.lambda, 30);
         assert_eq!(c.rate, 64);
         assert_eq!(c.bandwidth, BandwidthRule::SigmaRatio(0.5));
         assert!(!c.smooth_scores);
-        assert_eq!(c.seed, 7);
         assert!(c.validate().is_ok());
     }
 

@@ -9,8 +9,7 @@
 //! the rotation, the `(y, z)` components capture only shape, so recurrent
 //! shapes form dense trajectories and anomalies remain isolated.
 
-use s2g_linalg::matrix::DMatrix;
-use s2g_linalg::pca::{Pca, PcaSolver};
+use s2g_linalg::pca::Pca;
 use s2g_linalg::rotation::{align_to_x_axis, Rotation3};
 use s2g_linalg::vector::{Vec2, Vec3};
 use s2g_timeseries::{stats, TimeSeries};
@@ -67,22 +66,11 @@ impl Embedding {
         let n_points = series.len() - ell + 1;
         debug_assert!(conv.len() >= n_points + dim - 1);
 
-        // 3-component PCA. The covariance solver accumulates the column
-        // means and the (ℓ−λ)² Gram matrix straight from the slices —
-        // peak fit memory drops from O(|T|·(ℓ−λ)) to O((ℓ−λ)²) with
-        // bit-identical output (same summation order). The randomized-SVD
-        // solver needs the explicit matrix for its sketch products, so it
-        // alone still materialises (and promptly drops) it.
-        let pca = match config.pca_solver {
-            PcaSolver::Covariance => Pca::fit_sliding_covariance(&conv, n_points, dim, 3)?,
-            solver @ PcaSolver::RandomizedSvd { .. } => {
-                let mut proj = DMatrix::zeros(n_points, dim);
-                for i in 0..n_points {
-                    proj.row_mut(i).copy_from_slice(&conv[i..i + dim]);
-                }
-                Pca::fit_with(&proj, 3, solver)?
-            }
-        };
+        // 3-component PCA. The column means and the (ℓ−λ)² Gram matrix are
+        // accumulated straight from the slices — peak fit memory is
+        // O((ℓ−λ)²), not O(|T|·(ℓ−λ)), with output bit-identical to the
+        // materialised `Pca::fit` (same summation order).
+        let pca = Pca::fit_sliding_covariance(&conv, n_points, dim, 3)?;
         let explained = pca.explained_variance_ratio();
 
         // Reference vector: the image of the difference between the constant-
@@ -360,30 +348,5 @@ mod tests {
         ));
         let emb = Embedding::fit(&sine_series(1000, 50.0), &S2gConfig::new(50)).unwrap();
         assert!(emb.project(&sine_series(20, 10.0)).is_err());
-    }
-
-    #[test]
-    fn randomized_solver_produces_similar_geometry() {
-        use s2g_linalg::pca::PcaSolver;
-        let series = sine_series(2500, 90.0);
-        let exact = Embedding::fit(&series, &S2gConfig::new(45)).unwrap();
-        let rand = Embedding::fit(
-            &series,
-            &S2gConfig::new(45).with_pca_solver(PcaSolver::RandomizedSvd {
-                oversample: 7,
-                power_iterations: 3,
-                seed: 11,
-            }),
-        )
-        .unwrap();
-        // Pairwise distances between a few sampled points must agree (the
-        // embeddings may differ by sign/rotation of components, but geometry
-        // within the (y,z) plane is preserved up to reflection).
-        let d_exact = exact.points[100].distance(&exact.points[500]);
-        let d_rand = rand.points[100].distance(&rand.points[500]);
-        assert!(
-            (d_exact - d_rand).abs() < 0.15 * d_exact.max(1e-9),
-            "{d_exact} vs {d_rand}"
-        );
     }
 }

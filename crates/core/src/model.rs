@@ -29,7 +29,8 @@ pub struct AdaptationLineage {
 
 /// A fitted Series2Graph model: the embedding (PCA + rotation), the pattern
 /// node set, the transition graph `G_ℓ(N, E)`, and the per-gap contributions
-/// of the training series that make training-series scoring `O(|T|)`.
+/// of the training series as fitted (the adaptation layer's baseline; no
+/// score reads them).
 #[derive(Debug, Clone)]
 pub struct Series2Graph {
     config: S2gConfig,
@@ -202,22 +203,18 @@ impl Series2Graph {
     /// Normality score of every subsequence of length `query_length` of a
     /// series (Definition 10). Higher is more normal.
     ///
-    /// When `series` is the training series the per-gap contributions cached
-    /// at fit time are reused; otherwise the series is projected with the
-    /// fitted embedding and mapped onto the existing graph (`Time2Path`),
-    /// with unseen transitions contributing zero normality.
+    /// Every series, the training series included, is projected with the
+    /// fitted embedding and mapped onto the current graph (`Time2Path`),
+    /// with unseen transitions contributing zero normality, so the scores
+    /// depend only on the model and the input. Re-projecting the training
+    /// series of a pristine fit reproduces its cached contributions bit for
+    /// bit.
     pub fn normality_scores(&self, series: &TimeSeries, query_length: usize) -> Result<Vec<f64>> {
         self.check_query_length(query_length)?;
         check_finite(series)?;
-        let contributions = if series.len() == self.train_len {
-            // Same length as the training series: assume it is the training
-            // series (exact re-projection would yield identical results).
-            self.train_contributions.clone()
-        } else {
-            let points = self.embedding.project(series)?;
-            let transitions = EdgeExtraction::map_transitions(&points, &self.nodes);
-            scoring::gap_contributions(&self.graph, &transitions)
-        };
+        let points = self.embedding.project(series)?;
+        let transitions = EdgeExtraction::map_transitions(&points, &self.nodes);
+        let contributions = scoring::gap_contributions(&self.graph, &transitions);
         let profile =
             scoring::normality_profile(&contributions, self.config.pattern_length, query_length);
         if self.config.smooth_scores {
@@ -390,6 +387,62 @@ mod tests {
             "unseen anomaly found at {}",
             top[0]
         );
+    }
+
+    #[test]
+    fn scores_depend_only_on_the_input_series() {
+        // An unseen series exactly as long as the training series must be
+        // projected, not answered with the training scores.
+        let (len, ell, query) = (8000, 50, 150);
+        let train = series_with_anomalies(len, &[2000], query);
+        let model = Series2Graph::fit(&train, &S2gConfig::new(ell)).unwrap();
+        assert_eq!(model.train_len(), len);
+        let unseen = series_with_anomalies(len, &[6000], query);
+        let scores = model.anomaly_scores(&unseen, query).unwrap();
+        let peak = model.top_k_anomalies(&scores, 1, query)[0];
+        assert!(
+            (6000i64 - peak as i64).abs() <= query as i64,
+            "burst planted at 6000, scores peak at {peak}"
+        );
+
+        // The profile of a model's own graph over the training trajectory.
+        let profile_of = |m: &Series2Graph| {
+            let transitions = EdgeExtraction::map_transitions(&m.embedding().points, m.node_set());
+            let contributions = scoring::gap_contributions(m.graph(), &transitions);
+            let raw = scoring::normality_profile(&contributions, ell, query);
+            scoring::smooth_profile(&raw, ell)
+        };
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let pristine = model.normality_scores(&train, query).unwrap();
+        assert_eq!(bits(&pristine), bits(&profile_of(&model)));
+        // Re-projecting the training series reproduces the fit's cache.
+        let cached = scoring::smooth_profile(
+            &scoring::normality_profile(model.train_contributions(), ell, query),
+            ell,
+        );
+        assert_eq!(bits(&pristine), bits(&cached));
+
+        // An adapted model scores the training series on its own graph:
+        // move half the mass of the busiest node onto its lightest edge.
+        let mut adapted = model.clone();
+        let busiest = (0..model.node_count())
+            .max_by(|&a, &b| {
+                let strength = |n| model.graph().out_strength(n);
+                strength(a).total_cmp(&strength(b))
+            })
+            .unwrap();
+        let lightest = model
+            .graph()
+            .out_edges(busiest)
+            .min_by(|a, b| a.weight.total_cmp(&b.weight))
+            .unwrap();
+        assert!(model.graph().out_edges(busiest).count() > 1);
+        adapted
+            .reweight_transition(busiest, lightest.to, 0.5)
+            .unwrap();
+        let reweighted = adapted.normality_scores(&train, query).unwrap();
+        assert_eq!(bits(&reweighted), bits(&profile_of(&adapted)));
+        assert_ne!(bits(&reweighted), bits(&pristine));
     }
 
     #[test]

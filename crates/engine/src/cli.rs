@@ -41,7 +41,7 @@ macro_rules! local_usage {
     () => {
         "    s2g fit    --input <series.csv> --output <model.s2g> --pattern-length <n>
                [--lambda <n>] [--rate <n>] [--kde-grid <n>] [--sigma-ratio <x>]
-               [--seed <n>] [--no-smooth]
+               [--no-smooth]
     s2g score  --model <model.s2g> --query-length <n> [--top-k <k>]
                [--scores-out <csv>] [--workers <n>] <input.csv> [<input.csv>...]
     s2g stream --model <model.s2g> --query-length <n> [--chunk <n>]
@@ -242,9 +242,6 @@ fn build_config(args: &ParsedArgs) -> Result<S2gConfig, CliError> {
     if let Some(ratio) = args.f64_flag("--sigma-ratio")? {
         config.bandwidth = BandwidthRule::SigmaRatio(ratio);
     }
-    if args.values.contains_key("--seed") {
-        config.seed = args.usize_flag("--seed", None)? as u64;
-    }
     if args.has("--no-smooth") {
         config.smooth_scores = false;
     }
@@ -269,7 +266,6 @@ fn cmd_fit(args: &[String]) -> Result<(), CliError> {
             "--rate",
             "--kde-grid",
             "--sigma-ratio",
-            "--seed",
         ],
         &["--no-smooth"],
     )?;
@@ -617,6 +613,11 @@ mod tests {
         assert!(matches!(dispatch(&strs(&[])), Err(CliError::Usage(_))));
         assert!(matches!(
             dispatch(&strs(&["fit", "--bogus", "1"])),
+            Err(CliError::Usage(_))
+        ));
+        // A fit has no seed: nothing in it draws random numbers.
+        assert!(matches!(
+            dispatch(&strs(&["fit", "--seed", "7"])),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(

@@ -33,7 +33,7 @@
 //!
 //! | kind | payload |
 //! |---|---|
-//! | 1 `config` | pattern_length, lambda, rate, kde_grid_points: u64; smooth_scores u8; bandwidth tag u8 (0 = Scott \| 1 = SigmaRatio + f64); pca_solver tag u8 (0 = Covariance \| 1 = RandomizedSvd + oversample u64 + power_iterations u64 + seed u64); seed u64 |
+//! | 1 `config` | pattern_length, lambda, rate, kde_grid_points: u64; smooth_scores u8; bandwidth tag u8 (0 = Scott \| 1 = SigmaRatio + f64); pca_solver tag u8 (always 0 = covariance PCA; 1 is refused); reserved u64 (written as `0x5269_e52a`, ignored on read) |
 //! | 2 `embedding` | explained_variance_ratio f64; pca: input_dim u64, n_components u64, mean f64[], components (row-major) f64[], explained_variance f64[], total_variance f64; rotation 9 × f64 (row-major 3×3) |
 //! | 3 `points` | n u64, then n × (y f64, z f64) |
 //! | 4 `nodes` | rate u64, then per ray an f64[] of node radii |
@@ -68,7 +68,7 @@ use s2g_core::nodes::NodeSet;
 use s2g_core::{AdaptationLineage, S2gConfig, Series2Graph};
 use s2g_graph::DiGraph;
 use s2g_linalg::matrix::DMatrix;
-use s2g_linalg::pca::{Pca, PcaSolver};
+use s2g_linalg::pca::Pca;
 use s2g_linalg::rotation::Rotation3;
 use s2g_linalg::vector::Vec2;
 
@@ -90,6 +90,15 @@ pub const FIXED_HEADER_LEN: usize = MAGIC.len() + 4 + 4;
 
 /// Byte length of one section-index entry (kind + offset + len + checksum).
 pub const INDEX_ENTRY_LEN: usize = 4 + 8 + 8 + 8;
+
+/// The config section's `pca_solver` tag of the covariance PCA, the only
+/// solver a fit uses. Tag 1 (a randomized SVD no fit produces) is refused.
+const PCA_SOLVER_COVARIANCE: u8 = 0;
+
+/// The config section's last word. It once held a seed that no fit read;
+/// every writer puts the old default there so model bytes stay put, and
+/// readers ignore it.
+const RESERVED_CONFIG_WORD: u64 = 0x5269_e52a;
 
 // ---------------------------------------------------------------------------
 // Section index
@@ -531,20 +540,8 @@ fn write_config_section(w: &mut Writer, config: &S2gConfig) {
             w.put_f64(ratio);
         }
     }
-    match config.pca_solver {
-        PcaSolver::Covariance => w.put_u8(0),
-        PcaSolver::RandomizedSvd {
-            oversample,
-            power_iterations,
-            seed,
-        } => {
-            w.put_u8(1);
-            w.put_usize(oversample);
-            w.put_usize(power_iterations);
-            w.put_u64(seed);
-        }
-    }
-    w.put_u64(config.seed);
+    w.put_u8(PCA_SOLVER_COVARIANCE);
+    w.put_u64(RESERVED_CONFIG_WORD);
 }
 
 fn write_embedding_section(w: &mut Writer, embedding: &Embedding) {
@@ -625,7 +622,12 @@ fn section_payloads(model: &Series2Graph) -> [Vec<u8>; 6] {
 /// Serialises a fitted model into the current (version 2, sectioned)
 /// binary format.
 pub fn encode_model(model: &Series2Graph) -> Vec<u8> {
-    let payloads = section_payloads(model);
+    encode_payloads(&section_payloads(model))
+}
+
+/// Lays out six section payloads as a version-2 file: header, index,
+/// payloads, trailer.
+fn encode_payloads(payloads: &[Vec<u8>; 6]) -> Vec<u8> {
     let header_len = FIXED_HEADER_LEN + payloads.len() * INDEX_ENTRY_LEN;
     let total: usize = payloads.iter().map(Vec::len).sum();
 
@@ -635,14 +637,14 @@ pub fn encode_model(model: &Series2Graph) -> Vec<u8> {
     w.put_u32(FORMAT_VERSION);
     w.put_u32(payloads.len() as u32);
     let mut offset = header_len as u64;
-    for (kind, payload) in SectionKind::ALL.into_iter().zip(&payloads) {
+    for (kind, payload) in SectionKind::ALL.into_iter().zip(payloads) {
         w.put_u32(kind.tag());
         w.put_u64(offset);
         w.put_u64(payload.len() as u64);
         w.put_u64(fnv1a(payload));
         offset += payload.len() as u64;
     }
-    for payload in &payloads {
+    for payload in payloads {
         w.buf.extend_from_slice(payload);
     }
     let checksum = fnv1a(&w.buf);
@@ -730,16 +732,15 @@ fn read_config_section(r: &mut Reader<'_>) -> Result<S2gConfig> {
         1 => BandwidthRule::SigmaRatio(r.get_f64("config.bandwidth.ratio")?),
         v => return Err(Error::Format(format!("config.bandwidth: unknown tag {v}"))),
     };
-    let pca_solver = match r.get_u8("config.pca_solver")? {
-        0 => PcaSolver::Covariance,
-        1 => PcaSolver::RandomizedSvd {
-            oversample: r.get_usize("config.pca_solver.oversample")?,
-            power_iterations: r.get_usize("config.pca_solver.power_iterations")?,
-            seed: r.get_u64("config.pca_solver.seed")?,
-        },
-        v => return Err(Error::Format(format!("config.pca_solver: unknown tag {v}"))),
-    };
-    let seed = r.get_u64("config.seed")?;
+    let solver = r.get_u8("config.pca_solver")?;
+    if solver != PCA_SOLVER_COVARIANCE {
+        return Err(Error::Format(format!(
+            "config.pca_solver: tag {solver} is refused; every fit uses the covariance PCA (0)"
+        )));
+    }
+    // The old seed word: older files carry any value here, and none of
+    // them changes a score, so it is read and dropped.
+    r.get_u64("config.reserved")?;
     let config = S2gConfig {
         pattern_length,
         lambda,
@@ -747,8 +748,6 @@ fn read_config_section(r: &mut Reader<'_>) -> Result<S2gConfig> {
         bandwidth,
         kde_grid_points,
         smooth_scores,
-        pca_solver,
-        seed,
     };
     config.validate()?;
     Ok(config)
@@ -1274,30 +1273,74 @@ mod tests {
     }
 
     #[test]
-    fn sigma_ratio_and_randomized_solver_round_trip() {
+    fn sigma_ratio_round_trips() {
         let values: Vec<f64> = (0..2500)
             .map(|i| (std::f64::consts::TAU * i as f64 / 70.0).sin())
             .collect();
         let config = S2gConfig::new(35)
             .with_bandwidth(BandwidthRule::SigmaRatio(0.4))
-            .with_pca_solver(PcaSolver::RandomizedSvd {
-                oversample: 6,
-                power_iterations: 2,
-                seed: 99,
-            })
             .with_smoothing(false);
         let model = Series2Graph::fit(&TimeSeries::from(values), &config).unwrap();
         let back = decode_model(&encode_model(&model)).unwrap();
         assert_eq!(back.config().bandwidth, BandwidthRule::SigmaRatio(0.4));
-        assert_eq!(
-            back.config().pca_solver,
-            PcaSolver::RandomizedSvd {
-                oversample: 6,
-                power_iterations: 2,
-                seed: 99
-            }
-        );
         assert!(!back.config().smooth_scores);
+    }
+
+    /// The config payload of `S2gConfig::new(40)` (the [`fitted`] model's)
+    /// written out by hand: a `pca_solver` tag, the words that follow it,
+    /// then the last word, which older writers filled with a seed.
+    fn config_payload(solver_tag: u8, solver_words: &[u64], last_word: u64) -> Vec<u8> {
+        let mut w = Writer::new();
+        for v in [40, 13, 50, 200] {
+            w.put_usize(v);
+        }
+        w.put_u8(1); // smooth_scores
+        w.put_u8(0); // Scott bandwidth
+        w.put_u8(solver_tag);
+        for &v in solver_words {
+            w.put_u64(v);
+        }
+        w.put_u64(last_word);
+        w.buf
+    }
+
+    #[test]
+    fn a_randomized_solver_tag_is_refused() {
+        // Tag 1 as older writers laid it out: oversample, power iterations
+        // and the sketch seed, then the seed word.
+        let mut payloads = section_payloads(&fitted());
+        payloads[0] = config_payload(1, &[6, 2, 99], 99);
+        match decode_model(&encode_payloads(&payloads)) {
+            Err(Error::Format(msg)) => assert!(msg.starts_with("config.pca_solver"), "{msg}"),
+            other => panic!("a tag-1 model decoded: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn any_seed_word_decodes_to_the_same_model() {
+        let model = fitted();
+        let mut payloads = section_payloads(&model);
+        // The writer puts tag 0 and the reserved word.
+        assert_eq!(payloads[0], config_payload(0, &[], 0x5269_e52a));
+        payloads[0] = config_payload(0, &[], 7);
+        let seeded = encode_payloads(&payloads);
+        assert_ne!(seeded, encode_model(&model));
+        let back = decode_model(&seeded).unwrap();
+
+        let series = TimeSeries::from(
+            (0..1500)
+                .map(|i| (std::f64::consts::TAU * i as f64 / 80.0).sin())
+                .enumerate()
+                .map(|(i, v)| if i == 700 { v + 1.0 } else { v })
+                .collect::<Vec<f64>>(),
+        );
+        let bits = |m: &Series2Graph| -> Vec<u64> {
+            let scores = m.anomaly_scores(&series, 120).unwrap();
+            scores.iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(&back), bits(&model));
+        // Re-encoding writes the reserved word: the bytes of a default fit.
+        assert_eq!(encode_model(&back), encode_model(&model));
     }
 
     #[test]

@@ -179,8 +179,7 @@ fn nonstandard_configs_roundtrip_exactly() {
         .with_lambda(15)
         .with_rate(32)
         .with_bandwidth(BandwidthRule::SigmaRatio(0.25))
-        .with_smoothing(false)
-        .with_seed(12345);
+        .with_smoothing(false);
     let model = Series2Graph::fit(&train, &config).unwrap();
     let loaded = codec::decode_model(&codec::encode_model(&model)).unwrap();
 
@@ -189,7 +188,6 @@ fn nonstandard_configs_roundtrip_exactly() {
     assert_eq!(loaded.config().rate, 32);
     assert_eq!(loaded.config().bandwidth, BandwidthRule::SigmaRatio(0.25));
     assert!(!loaded.config().smooth_scores);
-    assert_eq!(loaded.config().seed, 12345);
 
     let held_out = series_with_burst(2000, 900, 130);
     let e = model.anomaly_scores(&held_out, 180).unwrap();

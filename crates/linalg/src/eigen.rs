@@ -1,9 +1,8 @@
 //! Symmetric eigen-decomposition via the cyclic Jacobi method.
 //!
-//! The matrices decomposed here are small (the Gram matrices of the embedding
-//! are `(ℓ−λ)×(ℓ−λ)` for the exact PCA path and `(k+p)×(k+p)` for the
-//! randomized path, with `k+p ≈ 10`), so the robust and simple Jacobi
-//! rotation scheme is an appropriate choice.
+//! The matrices decomposed here are small (the covariance matrices of the
+//! embedding are `(ℓ−λ)×(ℓ−λ)`), so the robust and simple Jacobi rotation
+//! scheme is an appropriate choice.
 
 use crate::error::{Error, Result};
 use crate::matrix::DMatrix;

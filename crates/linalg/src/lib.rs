@@ -7,11 +7,9 @@
 //!   operations the pipeline needs (multiplication, transpose, column
 //!   centring, Gram matrices),
 //! * [`eigen`] — cyclic Jacobi eigen-decomposition of symmetric matrices,
-//! * [`svd`] — randomized truncated SVD following Halko, Martinsson & Tropp
-//!   (the method cited by the paper for the PCA step),
-//! * [`pca`] — principal component analysis with both an exact covariance
-//!   solver and the randomized solver, used to produce the 3-dimensional
-//!   reduced projection `Proj_r(T, ℓ, λ)`,
+//! * [`pca`] — exact principal component analysis (eigen-decomposition of
+//!   the covariance matrix), used to produce the 3-dimensional reduced
+//!   projection `Proj_r(T, ℓ, λ)`,
 //! * [`rotation`] — 3-D rotation matrices (per-axis and axis–angle) used to
 //!   align the reference vector `v_ref` with the x-axis and obtain
 //!   `SProj(T, ℓ, λ)`,
@@ -20,8 +18,7 @@
 //!   nodes,
 //! * [`vector`] — small fixed-size vector helpers (`Vec2`/`Vec3`).
 //!
-//! Everything is deterministic given an explicit random seed; the only
-//! dependency is `rand` for the Gaussian test matrix of the randomized SVD.
+//! Everything is deterministic and nothing draws random numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +29,6 @@ pub mod kde;
 pub mod matrix;
 pub mod pca;
 pub mod rotation;
-pub mod svd;
 pub mod vector;
 
 pub use error::{Error, Result};

@@ -170,23 +170,6 @@ impl DMatrix {
         Ok(out)
     }
 
-    /// Matrix–vector product `self * v`.
-    ///
-    /// # Errors
-    /// [`Error::ShapeMismatch`] when `v.len() != ncols`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.cols {
-            return Err(Error::ShapeMismatch {
-                op: "matvec",
-                left: self.shape(),
-                right: (v.len(), 1),
-            });
-        }
-        Ok((0..self.rows)
-            .map(|r| self.row(r).iter().zip(v.iter()).map(|(a, b)| a * b).sum())
-            .collect())
-    }
-
     /// Per-column means.
     pub fn column_means(&self) -> Vec<f64> {
         let mut means = vec![0.0; self.cols];
@@ -301,16 +284,6 @@ mod tests {
         let a = DMatrix::zeros(2, 3);
         let b = DMatrix::zeros(2, 3);
         assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = DMatrix::from_rows(&[vec![1.0, -1.0, 2.0], vec![0.0, 3.0, 1.0]]).unwrap();
-        let v = vec![2.0, 1.0, 0.5];
-        let got = a.matvec(&v).unwrap();
-        assert!(approx(got[0], 2.0));
-        assert!(approx(got[1], 3.5));
-        assert!(a.matvec(&[1.0]).is_err());
     }
 
     #[test]

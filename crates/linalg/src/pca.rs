@@ -4,26 +4,6 @@
 use crate::eigen::symmetric_eigen;
 use crate::error::{Error, Result};
 use crate::matrix::DMatrix;
-use crate::svd::{randomized_svd, RandomizedSvdOptions};
-
-/// Which solver computes the principal directions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PcaSolver {
-    /// Exact eigen-decomposition of the `d × d` covariance matrix. Best when
-    /// `d = ℓ − λ` is small (the common case, tens of columns).
-    #[default]
-    Covariance,
-    /// Randomized truncated SVD (Halko et al.), matching the method cited by
-    /// the paper; preferable when `d` grows to hundreds of columns.
-    RandomizedSvd {
-        /// Extra sketch columns beyond the requested rank.
-        oversample: usize,
-        /// Number of power iterations.
-        power_iterations: usize,
-        /// Random seed for the Gaussian test matrix.
-        seed: u64,
-    },
-}
 
 /// A fitted PCA model: column means plus the top-`k` principal directions.
 #[derive(Debug, Clone)]
@@ -36,18 +16,15 @@ pub struct Pca {
 }
 
 impl Pca {
-    /// Fits a PCA with `k` components on the rows of `data` using the default
-    /// (covariance) solver.
-    pub fn fit(data: &DMatrix, k: usize) -> Result<Self> {
-        Self::fit_with(data, k, PcaSolver::Covariance)
-    }
-
-    /// Fits a PCA with `k` components using the requested solver.
+    /// Fits a PCA with `k` components on the rows of `data` by
+    /// eigen-decomposing their covariance matrix. The embedding fits through
+    /// [`Pca::fit_sliding_covariance`]; this materialised form is its
+    /// reference.
     ///
     /// # Errors
     /// * [`Error::EmptyMatrix`] for empty input.
     /// * [`Error::TooManyComponents`] when `k > min(n, d)`.
-    pub fn fit_with(data: &DMatrix, k: usize, solver: PcaSolver) -> Result<Self> {
+    pub fn fit(data: &DMatrix, k: usize) -> Result<Self> {
         let (n, d) = data.shape();
         if n == 0 || d == 0 {
             return Err(Error::EmptyMatrix);
@@ -61,45 +38,12 @@ impl Pca {
 
         let (centered, mean) = data.centered();
         let denom = (n.max(2) - 1) as f64;
-
-        match solver {
-            PcaSolver::Covariance => {
-                let mut cov = centered.gram();
-                cov.scale_in_place(1.0 / denom);
-                Self::from_covariance(mean, &cov, k)
-            }
-            PcaSolver::RandomizedSvd {
-                oversample,
-                power_iterations,
-                seed,
-            } => {
-                let svd = randomized_svd(
-                    &centered,
-                    RandomizedSvdOptions {
-                        rank: k,
-                        oversample,
-                        power_iterations,
-                        seed,
-                    },
-                )?;
-                let explained: Vec<f64> = svd
-                    .singular_values
-                    .iter()
-                    .map(|s| (s * s) / denom)
-                    .collect();
-                // Total variance from the centred data directly (cheap single pass).
-                let total_variance = centered.as_slice().iter().map(|x| x * x).sum::<f64>() / denom;
-                Ok(Self {
-                    mean,
-                    components: svd.v,
-                    explained_variance: explained,
-                    total_variance,
-                })
-            }
-        }
+        let mut cov = centered.gram();
+        cov.scale_in_place(1.0 / denom);
+        Self::from_covariance(mean, &cov, k)
     }
 
-    /// Fits a covariance-solver PCA on the `n` overlapping windows
+    /// Fits a PCA on the `n` overlapping windows
     /// `windows[i .. i + d]`, `i ∈ [0, n)`, of a flat buffer — the shape of
     /// the subsequence projection matrix `Proj(T, ℓ, λ)`, whose row `i` is a
     /// stride-1 slice of the series' rolling-sum vector.
@@ -112,7 +56,7 @@ impl Pca {
     /// order of [`DMatrix::column_means`] / [`DMatrix::gram`] on the
     /// materialized matrix (including the skip of zero entries), so the
     /// fitted model is **bit-identical** to
-    /// `Pca::fit_with(&materialized, k, PcaSolver::Covariance)`.
+    /// `Pca::fit(&materialized, k)`.
     ///
     /// # Errors
     /// * [`Error::EmptyMatrix`] when `n == 0` or `d == 0`.
@@ -177,7 +121,7 @@ impl Pca {
         Self::from_covariance(mean, &cov, k)
     }
 
-    /// Shared tail of the covariance solvers: eigen-decomposes the already
+    /// Shared tail of both fits: eigen-decomposes the already
     /// scaled covariance matrix and keeps the top-`k` directions.
     fn from_covariance(mean: Vec<f64>, cov: &DMatrix, k: usize) -> Result<Self> {
         let d = cov.nrows();
@@ -389,38 +333,6 @@ mod tests {
         assert_eq!(pca.n_components(), 2);
         assert!(pca.explained_variance_ratio() > 0.999);
         assert!(pca.explained_variance()[0] >= pca.explained_variance()[1]);
-    }
-
-    #[test]
-    fn randomized_pca_agrees_with_covariance_pca() {
-        let data = planar_data(400);
-        let exact = Pca::fit(&data, 2).unwrap();
-        let rand = Pca::fit_with(
-            &data,
-            2,
-            PcaSolver::RandomizedSvd {
-                oversample: 5,
-                power_iterations: 3,
-                seed: 1,
-            },
-        )
-        .unwrap();
-        // The projected coordinates must agree up to a per-component sign flip.
-        let pe = exact.transform(&data).unwrap();
-        let pr = rand.transform(&data).unwrap();
-        for c in 0..2 {
-            let dot: f64 = (0..data.nrows()).map(|r| pe.get(r, c) * pr.get(r, c)).sum();
-            let ne: f64 = (0..data.nrows())
-                .map(|r| pe.get(r, c).powi(2))
-                .sum::<f64>()
-                .sqrt();
-            let nr: f64 = (0..data.nrows())
-                .map(|r| pr.get(r, c).powi(2))
-                .sum::<f64>()
-                .sqrt();
-            let corr = (dot / (ne * nr)).abs();
-            assert!(corr > 0.999, "component {c} correlation {corr}");
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! robustly with a single axis–angle (Rodrigues) rotation, which is what
 //! [`align_to_x_axis`] produces. Both constructions are provided; the core
 //! crate uses the Rodrigues form and the per-axis form is kept for parity
-//! with the paper's notation and for the ablation benchmarks.
+//! with the paper's notation.
 
 use crate::vector::Vec3;
 

@@ -216,13 +216,16 @@ impl SignalWatch {
         }
         let from = self.state;
         self.state = if bad {
-            if self.bad_streak >= self.hysteresis.anomalous_after {
+            // A bad tick never lowers the state: only `recover_after` good
+            // ticks in a row do.
+            let level = if self.bad_streak >= self.hysteresis.anomalous_after {
                 WatchState::Anomalous
             } else if self.bad_streak >= self.hysteresis.degrade_after {
                 WatchState::Degraded
             } else {
-                from
-            }
+                WatchState::Ok
+            };
+            from.max(level)
         } else if self.good_streak >= self.hysteresis.recover_after {
             WatchState::Ok
         } else {
@@ -292,6 +295,40 @@ mod tests {
         let t = watch.observe(10.0).unwrap();
         assert_eq!((t.from, t.to), (WatchState::Anomalous, WatchState::Ok));
         assert_eq!(overall(&[watch]), WatchState::Ok);
+    }
+
+    #[test]
+    fn a_bad_tick_never_skips_recovery() {
+        let baseline: Vec<f64> = (0..30).map(|i| 10.0 + (i % 3) as f64).collect();
+        let scorer = RobustScorer::from_baseline(&baseline).unwrap();
+        let mut watch = SignalWatch::new("sig", scorer, -3.0, Hysteresis::default());
+        let mut transitions = Vec::new();
+        let mut feed = |watch: &mut SignalWatch, value: f64, ticks: usize| {
+            for _ in 0..ticks {
+                transitions.extend(watch.observe(value));
+            }
+        };
+        feed(&mut watch, 1_000.0, 4);
+        assert_eq!(watch.state(), WatchState::Anomalous);
+        // One good tick, then two bad ones: the streak restarts, but the
+        // state stays where it was and nothing is logged as a recovery.
+        feed(&mut watch, 10.0, 1);
+        feed(&mut watch, 1_000.0, 2);
+        assert_eq!(watch.state(), WatchState::Anomalous);
+        // Three good ticks in a row recover.
+        feed(&mut watch, 10.0, 2);
+        assert_eq!(watch.state(), WatchState::Anomalous);
+        feed(&mut watch, 11.0, 1);
+        assert_eq!(watch.state(), WatchState::Ok);
+        let steps: Vec<_> = transitions.iter().map(|t| (t.from, t.to)).collect();
+        assert_eq!(
+            steps,
+            [
+                (WatchState::Ok, WatchState::Degraded),
+                (WatchState::Degraded, WatchState::Anomalous),
+                (WatchState::Anomalous, WatchState::Ok),
+            ]
+        );
     }
 
     #[test]

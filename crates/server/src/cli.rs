@@ -54,8 +54,7 @@ USAGE — serving (over TCP, protocol in docs/PROTOCOL.md):
                [--once]   (NO_COLOR or a pipe disables ANSI redraws)
     s2g client fit      --addr <host:port> --name <model> --input <series.csv>
                         --pattern-length <n> [--lambda <n>] [--rate <n>]
-                        [--kde-grid <n>] [--sigma-ratio <x>] [--seed <n>]
-                        [--no-smooth]
+                        [--kde-grid <n>] [--sigma-ratio <x>] [--no-smooth]
     s2g client score    --addr <host:port> --name <model> --query-length <n>
                         [--top-k <k>] <input.csv> [<input.csv>...]
     s2g client stream   --addr <host:port> --name <model> --query-length <n>
@@ -323,7 +322,6 @@ fn client_fit(args: &[String]) -> Result<(), CliError> {
             "--rate",
             "--kde-grid",
             "--sigma-ratio",
-            "--seed",
         ],
         &["--no-smooth"],
     )?;
@@ -337,7 +335,6 @@ fn client_fit(args: &[String]) -> Result<(), CliError> {
         ("--lambda", "lambda"),
         ("--rate", "rate"),
         ("--kde-grid", "kde_grid"),
-        ("--seed", "seed"),
     ] {
         if let Some(value) = opt_usize(&args, flag)? {
             query.push_str(&format!("&{key}={value}"));

@@ -1179,9 +1179,6 @@ fn config_from_query(request: &Request) -> Result<S2gConfig, ApiError> {
         })?;
         config.bandwidth = BandwidthRule::SigmaRatio(ratio);
     }
-    if let Some(seed) = query_usize(request, "seed")? {
-        config.seed = seed as u64;
-    }
     if let Some(raw) = request.query_param("smooth") {
         config.smooth_scores = match raw {
             "true" | "1" => true,

@@ -99,6 +99,48 @@ fn socket_fit_and_score_bit_identical_with_concurrent_clients() {
 }
 
 #[test]
+fn socket_scores_an_unseen_series_of_the_training_length() {
+    let (addr, handle, server_thread) = start_server(ServerConfig::default());
+    let train_csv = burst_csv(4000, 1000, 0.0);
+    let client = Client::new(addr);
+    let info = client
+        .fit_model("same-length", "pattern_length=50", &train_csv)
+        .unwrap();
+    // `seed` is no fit parameter: like any unknown parameter it is
+    // ignored, and the fit is the default one byte for byte.
+    let seeded = client
+        .fit_model("seeded", "pattern_length=50&seed=7", &train_csv)
+        .unwrap();
+    assert_eq!(seeded.get("checksum"), info.get("checksum"));
+
+    // Same length as the training series, burst somewhere else: the reply
+    // must score this series, not replay the training scores.
+    let probe = ts_io::parse_series(&burst_csv(4000, 3000, 0.0))
+        .unwrap()
+        .into_vec();
+    let remote = client
+        .score("same-length", 150, std::slice::from_ref(&probe))
+        .unwrap();
+    let remote = remote[0].as_ref().unwrap();
+    let peak = (0..remote.len())
+        .max_by(|&a, &b| remote[a].total_cmp(&remote[b]))
+        .unwrap();
+    assert!(
+        (3000i64 - peak as i64).abs() <= 150,
+        "burst planted at 3000, scores peak at {peak}"
+    );
+
+    let train = ts_io::parse_series(&train_csv).unwrap();
+    let reference = Series2Graph::fit(&train, &S2gConfig::new(50)).unwrap();
+    let local = reference.anomaly_scores(&probe.into(), 150).unwrap();
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(remote), bits(&local));
+
+    handle.shutdown();
+    server_thread.join().unwrap();
+}
+
+#[test]
 fn socket_batch_scoring_is_submission_ordered() {
     let (addr, handle, server_thread) = start_server(ServerConfig::default());
     let train_csv = burst_csv(3000, 1800, 0.0);

@@ -16,7 +16,7 @@
 //! | [`server`] | `s2g-server` | TCP/HTTP front-end over the engine, protocol client, `s2g` CLI |
 //! | [`obs`] | `s2g-obs` | observability: lock-free latency histograms, request tracing, leveled logging |
 //! | [`timeseries`] | `s2g-timeseries` | series container, distances, windows, filters, CSV I/O |
-//! | [`linalg`] | `s2g-linalg` | PCA, randomized SVD, rotations, KDE |
+//! | [`linalg`] | `s2g-linalg` | PCA, rotations, KDE |
 //! | [`graph`] | `s2g-graph` | weighted digraph, θ-Normality subgraphs |
 //! | [`datasets`] | `s2g-datasets` | synthetic equivalents of the paper's evaluation corpus |
 //! | [`baselines`] | `s2g-baselines` | STOMP, discords/DAD, LOF, Isolation Forest, GrammarViz-style, forecasting |
